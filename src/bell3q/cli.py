@@ -8,7 +8,8 @@ chains), ``optimize`` (angle search, certification and the Hardy search).
 Exit codes: 0 success, 2 configuration error, 3 numeric contract violation,
 4 evaluation budget or enumeration size refusal.  JSON output carries a
 ``config`` block echoing the resolved inputs so every run is reproducible;
-floats are serialized with 12 significant digits.
+floats are serialized with 12 significant digits, and a payload holding a
+NaN or an infinity is refused with exit 3 in every output format.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
 from typing import Any
 
@@ -36,13 +39,11 @@ from .expressions import (
     evaluate_report,
     format_term,
     resolve_expression,
-    term_breakdown,
 )
 from .lhv import classical_bounds
 from .qcore import (
     DensityMatrix,
     Observable,
-    StateVector,
     concurrence,
     outcome_tuples,
     partial_trace,
@@ -126,13 +127,35 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, out: str) -> None:
-    if out == "json":
-        print(json.dumps(_round_floats(payload), indent=2))
-    elif out == "csv":
-        print(_render_csv(payload), end="")
-    else:
-        print(_render_text(payload), end="")
+def _render(payload: dict, out: str) -> str:
+    """Render a payload in the chosen format; a NaN or infinity anywhere in
+    it is a contract violation, whatever the format."""
+    try:
+        text = json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ContractViolationError(f"non-finite value in the output: {exc}") from exc
+    if out == "csv":
+        return _render_csv(payload)
+    if out == "text":
+        return _render_text(payload)
+    return text
+
+
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``bell3q states | head -1``); point
+        # stdout at devnull so the flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 _AXIS_OBSERVABLES = {
@@ -155,35 +178,23 @@ def _parse_observable(text: str) -> Observable:
 
 def _parse_binding(spec: str, scheme) -> Binding:
     """Parse ``A=z,B=x`` with per-qubit overrides such as ``q2:B=angle:1.154``."""
-    by_label: dict[str, Observable] = {}
-    overrides: dict[tuple[int, str], Observable] = {}
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
+    # (qubit, label) for an override, (None, label) for every qubit
+    parsed: dict[tuple[int | None, str], Observable] = {}
+    for entry in filter(None, (part.strip() for part in spec.split(","))):
         target, _, observable_text = entry.partition("=")
         if not observable_text:
             raise ConfigError(f"binding entry {entry!r} needs label=observable")
-        observable = _parse_observable(observable_text)
-        if ":" in target:
-            qubit_text, label = target.split(":", 1)
-            if not qubit_text.startswith("q"):
-                raise ConfigError(f"bad qubit prefix in {entry!r}")
-            try:
-                qubit = int(qubit_text[1:])
-            except ValueError as exc:
-                raise ConfigError(f"bad qubit index in {entry!r}") from exc
-            overrides[(qubit, label)] = observable
-        else:
-            by_label[target] = observable
+        qubit_text, _, label = target.partition(":") if ":" in target else ("", "", target)
+        if qubit_text and not (qubit_text.startswith("q") and qubit_text[1:].isdigit()):
+            raise ConfigError(f"bad qubit in {entry!r}")
+        qubit = int(qubit_text[1:]) if qubit_text else None
+        parsed[(qubit, label)] = _parse_observable(observable_text)
     assignments: dict[tuple[int, str], Observable] = {}
     for qubit, label in scheme.pairs():
-        if (qubit, label) in overrides:
-            assignments[(qubit, label)] = overrides[(qubit, label)]
-        elif label in by_label:
-            assignments[(qubit, label)] = by_label[label]
-        else:
+        observable = parsed.get((qubit, label), parsed.get((None, label)))
+        if observable is None:
             raise ConfigError(f"no observable bound for qubit {qubit} label {label!r}")
+        assignments[(qubit, label)] = observable
     return Binding(assignments)
 
 
@@ -231,7 +242,7 @@ def _cmd_states(args: argparse.Namespace) -> dict:
     return {"command": "states", "config": config, "result": result}
 
 
-def _term_rows(expression, state: StateVector, binding: Binding) -> list[dict]:
+def _term_rows(breakdown) -> list[dict]:
     return [
         {
             "index": index,
@@ -240,7 +251,7 @@ def _term_rows(expression, state: StateVector, binding: Binding) -> list[dict]:
             "detail": format_term(term),
             "value": value,
         }
-        for index, (term, value) in enumerate(term_breakdown(expression, state, binding))
+        for index, (term, value) in enumerate(breakdown)
     ]
 
 
@@ -251,7 +262,7 @@ def _cmd_eval(args: argparse.Namespace) -> dict:
     binding = _parse_binding(args.bind, expression.scheme)
     report = evaluate_report(expression, state, binding, tolerance=args.tol)
     result = report.as_dict()
-    result["terms"] = _term_rows(expression, state, binding)
+    result["terms"] = _term_rows(report.terms)
     return {
         "command": "eval",
         "config": {
@@ -381,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", choices=("json", "csv", "text"), default="json", help="output format"
     )
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="comparison tolerance (default 1e-9)"
+        "--tol", type=_tolerance, default=1e-9, help="comparison tolerance (default 1e-9)"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -456,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        text = _render(args.handler(args), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -466,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, args.out)
+    _write(text)
     return 0
 
 

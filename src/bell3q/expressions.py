@@ -46,6 +46,7 @@ Catalog ids
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -55,8 +56,8 @@ from .qcore import (
     MeasurementContext,
     Observable,
     StateVector,
-    correlator,
-    event_probability,
+    WalshForm,
+    correlation_table,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -77,6 +78,11 @@ class CorrelatorTerm:
         for qubit in self.subset:
             if not 1 <= qubit <= len(self.labels):
                 raise ContractViolationError(f"qubit index {qubit} out of range")
+
+    @cached_property
+    def walsh(self) -> WalshForm:
+        """The compiled form, built on first use: one subset with weight 1."""
+        return WalshForm(1, ((tuple(sorted(self.subset)), 1),))
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,12 @@ class ProbabilityTerm:
             if any(v not in (1, -1) for v in tup):
                 raise ContractViolationError(f"outcomes must be +1 or -1: {tup}")
         object.__setattr__(self, "accepted", accepted)
+
+    @cached_property
+    def walsh(self) -> WalshForm:
+        """The compiled form, built on first use: the indicator of the
+        accepted tuples."""
+        return WalshForm.of_event(self.accepted, len(self.labels))
 
 
 @dataclass(frozen=True)
@@ -201,9 +213,7 @@ def term_value(
 ) -> float:
     """Quantum value of a single term, without its coefficient."""
     context = _context_for(expression, binding, term.payload.labels)
-    if isinstance(term.payload, CorrelatorTerm):
-        return correlator(state, context, term.payload.subset)
-    return event_probability(state, context, term.payload.accepted)
+    return term.payload.walsh.value(correlation_table(state, context))
 
 
 def term_breakdown(
@@ -216,19 +226,15 @@ def term_breakdown(
     )
 
 
+def _combine(breakdown: tuple[tuple[Term, float], ...]) -> float:
+    return sum(term.coefficient * value for term, value in breakdown)
+
+
 def quantum_value(
     expression: BellExpression, state: StateVector, binding: Binding
 ) -> float:
     """Quantum value of the expression on a state under a binding."""
-    if state.num_qubits != expression.num_qubits:
-        raise ContractViolationError(
-            f"{expression.num_qubits}-qubit expression applied to a "
-            f"{state.num_qubits}-qubit state"
-        )
-    return sum(
-        term.coefficient * value
-        for term, value in term_breakdown(expression, state, binding)
-    )
+    return _combine(term_breakdown(expression, state, binding))
 
 
 @dataclass(frozen=True)
@@ -243,6 +249,7 @@ class ViolationReport:
     margin: float
     binding: Binding
     witness: DeterministicStrategy | None
+    terms: tuple[tuple[Term, float], ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -269,9 +276,11 @@ def evaluate_report(
     range, snapped to 0 when it does not exceed ``tolerance``; the report is
     violated exactly when the margin is positive.  When no violation occurs a
     maximizing deterministic strategy is attached as an explicit classical
-    witness.
+    witness.  The per-term values that make up the quantum value are kept in
+    ``terms``.
     """
-    value = quantum_value(expression, state, binding)
+    breakdown = term_breakdown(expression, state, binding)
+    value = _combine(breakdown)
     bounds = classical_bounds(expression)
     raw_margin = max(0.0, value - bounds.upper, bounds.lower - value)
     margin = 0.0 if raw_margin <= tolerance else raw_margin
@@ -285,6 +294,7 @@ def evaluate_report(
         margin=margin,
         binding=binding,
         witness=None if violated else bounds.maximizer,
+        terms=breakdown,
     )
 
 

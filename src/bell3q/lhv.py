@@ -6,6 +6,12 @@ the classical range of a Bell expression is the exact minimum and maximum of
 its value over all of them, and an extremal strategy is returned as a
 witness.  Enumeration order is deterministic: pairs are ordered by qubit then
 by the per-qubit label order, and assignments count up with -1 before +1.
+
+``classical_bounds`` reads each term's compiled Walsh form: one int8 +-1
+column per pair, multiplied along each weighted subset into an integer
+accumulator, so probability terms stay exact 0/1 indicators.
+``strategy_value`` is the pure-python evaluator that reads the terms
+directly and serves as the independent reference.
 """
 from __future__ import annotations
 
@@ -171,37 +177,29 @@ def classical_bounds(expression: "BellExpression") -> ClassicalBounds:
     The scheme is the expression's own.  Raises EnumerationSizeError when the
     scheme has more than 24 labels in total.
     """
-    from .expressions import CorrelatorTerm, ProbabilityTerm
-
     scheme = expression.scheme
     total = _check_size(scheme)
     count = 2**total
-    pairs = scheme.pairs()
-    position = {pair: i for i, pair in enumerate(pairs)}
-    indices = np.arange(count, dtype=np.int64)
+    position = {pair: i for i, pair in enumerate(scheme.pairs())}
+    outcomes = np.array([-1, 1], dtype=np.int8)
     columns = [
-        np.where((indices >> (total - 1 - p)) & 1, 1, -1).astype(np.int8)
-        for p in range(total)
+        np.tile(np.repeat(outcomes, 2 ** (total - 1 - p)), 2**p) for p in range(total)
     ]
 
     values = np.zeros(count)
     for term in expression.terms:
-        payload = term.payload
-        if isinstance(payload, CorrelatorTerm):
-            product = np.ones(count, dtype=np.int8)
-            for qubit in sorted(payload.subset):
-                product = product * columns[position[(qubit, payload.labels[qubit - 1])]]
-            values += term.coefficient * product
-        else:
-            assert isinstance(payload, ProbabilityTerm)
-            indicator = np.zeros(count, dtype=bool)
-            for accepted in sorted(payload.accepted, reverse=True):
-                match = np.ones(count, dtype=bool)
-                for qubit, wanted in enumerate(accepted, start=1):
-                    column = columns[position[(qubit, payload.labels[qubit - 1])]]
-                    match &= column == wanted
-                indicator |= match
-            values += term.coefficient * indicator
+        labels, walsh = term.payload.labels, term.payload.walsh
+        # every partial sum lies in [-bound, bound]; a signed type that holds
+        # -bound - 1 holds that range, so nothing wraps
+        bound = sum(abs(weight) for _, weight in walsh.weights)
+        dtype = np.min_scalar_type(-bound - 1)
+        accumulator = np.zeros(count, dtype=dtype)
+        for subset, weight in walsh.weights:
+            product = np.int8(1)
+            for qubit in subset:
+                product = product * columns[position[(qubit, labels[qubit - 1])]]
+            accumulator += dtype.type(weight) * product
+        values += term.coefficient * (accumulator // walsh.denominator)
 
     argmin = int(np.argmin(values))
     argmax = int(np.argmax(values))

@@ -2,11 +2,11 @@
 
 The search space is one angle per setting label (symmetric mode, the same
 observable on every qubit) or one angle per (qubit, label) pair (free mode).
-Every expression restricted to the x-z plane is a trigonometric polynomial:
-a correlator term expands over products of per-qubit cos/sin factors weighted
-by the state's Pauli correlation tensor, and a probability term expands the
-same way through the projector decomposition ``P_o = (I + o n.sigma) / 2``.
-The optimizer evaluates that polynomial over an exhaustive coarse grid, then
+Every expression restricted to the x-z plane is a trigonometric polynomial.
+``PlaneObjective`` reads it off the compiled form: each weighted subset of a
+term's Walsh form expands over the cos (x) and sin (z) components of its
+qubits' angles, weighted by the state's Pauli correlation tensor.  The
+optimizer evaluates that polynomial over an exhaustive coarse grid, then
 refines the best grid points with a shrinking coordinate search.  Everything
 is deterministic: two runs with the same inputs give identical results.
 """
@@ -14,26 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, ContractViolationError
-from .expressions import (
-    BellExpression,
-    Binding,
-    CorrelatorTerm,
-    ProbabilityTerm,
-)
-from .qcore import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Observable,
-    StateVector,
-)
+from .expressions import BellExpression, Binding
+from .qcore import PAULI_AXES, Observable, StateVector
 from . import states
 from .argument import ArgumentReport, run_hardy_argument
 
@@ -42,13 +29,6 @@ FREE_GRID_STEP = 0.1
 DEFAULT_BUDGET = 10**8
 REFINE_TOLERANCE = 1e-6
 TWO_PI = 2.0 * math.pi
-
-_PAULI = {"I": PAULI_I, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
-
-
-def _pauli_expectation(state: StateVector, assignment: tuple[str, ...]) -> float:
-    operator = reduce(np.kron, [_PAULI[a] for a in assignment])
-    return float(np.real(np.vdot(state.amplitudes, operator @ state.amplitudes)))
 
 
 class PlaneObjective:
@@ -73,68 +53,36 @@ class PlaneObjective:
         self.state = state
         self.mode = mode
 
+        pairs = expression.scheme.pairs()
         if mode == "symmetric":
-            seen: list[str] = []
-            for _, label in expression.scheme.pairs():
-                if label not in seen:
-                    seen.append(label)
-            self.dims: tuple = tuple(seen)
-            self._dim_of = {
-                (qubit, label): seen.index(label)
-                for qubit, label in expression.scheme.pairs()
-            }
+            self.dims: tuple = tuple(dict.fromkeys(label for _, label in pairs))
+            self._dim_of = {pair: self.dims.index(pair[1]) for pair in pairs}
         else:
-            pairs = expression.scheme.pairs()
             self.dims = pairs
             self._dim_of = {pair: i for i, pair in enumerate(pairs)}
 
         self.constant = 0.0
         self.atoms: list[tuple[float, tuple[tuple[int, str], ...]]] = []
-        cache: dict[tuple[str, ...], float] = {}
-
-        def tensor_entry(assignment: tuple[str, ...]) -> float:
-            if assignment not in cache:
-                cache[assignment] = _pauli_expectation(state, assignment)
-            return cache[assignment]
-
-        n = expression.num_qubits
+        tensor = state.pauli_tensor
         for term in expression.terms:
-            payload = term.payload
-            if isinstance(payload, CorrelatorTerm):
-                self._expand_subset(
-                    term.coefficient, payload.labels, sorted(payload.subset), n, tensor_entry
-                )
-            else:
-                assert isinstance(payload, ProbabilityTerm)
-                scale = term.coefficient / 2.0**n
-                for size in range(n + 1):
-                    for subset in combinations(range(1, n + 1), size):
-                        weight = sum(
-                            reduce(lambda acc, q: acc * o[q - 1], subset, 1)
-                            for o in payload.accepted
-                        )
-                        if weight == 0:
-                            continue
-                        if not subset:
-                            self.constant += scale * weight
-                        else:
-                            self._expand_subset(
-                                scale * weight, payload.labels, list(subset), n, tensor_entry
-                            )
-
-    def _expand_subset(self, coefficient, labels, subset, n, tensor_entry) -> None:
-        for axes in product("xz", repeat=len(subset)):
-            assignment = ["I"] * n
-            for qubit, axis in zip(subset, axes):
-                assignment[qubit - 1] = axis
-            entry = tensor_entry(tuple(assignment))
-            if abs(entry) < 1e-15:
-                continue
-            factors = tuple(
-                (self._dim_of[(qubit, labels[qubit - 1])], axis)
-                for qubit, axis in zip(subset, axes)
-            )
-            self.atoms.append((coefficient * entry, factors))
+            labels, walsh = term.payload.labels, term.payload.walsh
+            scale = term.coefficient / walsh.denominator
+            for subset, weight in walsh.weights:
+                if not subset:
+                    self.constant += scale * weight
+                    continue
+                for axes in product("xz", repeat=len(subset)):
+                    index = [0] * expression.num_qubits
+                    for qubit, axis in zip(subset, axes):
+                        index[qubit - 1] = PAULI_AXES.index(axis)
+                    entry = float(tensor[tuple(index)])
+                    if abs(entry) < 1e-15:
+                        continue
+                    factors = tuple(
+                        (self._dim_of[(qubit, labels[qubit - 1])], axis)
+                        for qubit, axis in zip(subset, axes)
+                    )
+                    self.atoms.append((scale * weight * entry, factors))
 
     @property
     def num_dims(self) -> int:
@@ -245,11 +193,6 @@ class CertificationResult:
         }
 
 
-def _axis(step: float) -> np.ndarray:
-    count = max(2, math.ceil(TWO_PI / step))
-    return np.linspace(0.0, TWO_PI, count, endpoint=False)
-
-
 def _refine(
     objective: PlaneObjective,
     start: np.ndarray,
@@ -294,21 +237,33 @@ def maximize(
     0.1 rad in free mode) locates the basin; a shrinking coordinate search
     refines it below ``refine_tolerance``.  Free mode additionally warm
     starts from the symmetric optimum, so the free result is never worse
-    than the symmetric one.  Raises BudgetExceededError when the grid would
-    need more than ``budget`` evaluations.
+    than the symmetric one.  Raises ConfigError for a grid step or refine
+    tolerance that is not positive and finite or a budget below 1, and
+    BudgetExceededError when the grid would need more than ``budget``
+    evaluations.
     """
-    objective = PlaneObjective(expression, state, mode)
     step = grid_step if grid_step is not None else (
         SYMMETRIC_GRID_STEP if mode == "symmetric" else FREE_GRID_STEP
     )
-    axis = _axis(step)
-    points = len(axis) ** objective.num_dims
+    for name, value in (("grid step", step), ("refine tolerance", refine_tolerance)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if not budget >= 1:
+        raise ConfigError(f"budget must be at least 1, got {budget!r}")
+    objective = PlaneObjective(expression, state, mode)
+    per_axis = TWO_PI / step
+    if per_axis > budget:  # also where a tiny step overflows the count
+        raise BudgetExceededError(
+            f"grid step {step} needs more than {budget} points per axis"
+        )
+    count = max(2, math.ceil(per_axis))
+    points = count**objective.num_dims
     if points > budget:
         raise BudgetExceededError(
             f"grid of {points} points exceeds budget {budget} "
             f"({objective.num_dims} dimensions at step {step})"
         )
-    axes = [axis] * objective.num_dims
+    axes = [np.linspace(0.0, TWO_PI, count, endpoint=False)] * objective.num_dims
     grid = objective.grid_values(axes)
     flat = int(np.argmax(grid))
     index = np.unravel_index(flat, grid.shape)

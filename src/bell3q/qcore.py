@@ -11,14 +11,21 @@ Conventions used throughout the package:
 * An angle ``theta`` in the x-z plane denotes the direction
   ``(cos theta, 0, sin theta)``, so ``theta = 0`` is x and ``theta = pi/2``
   is z.
+
+Every quantum value goes through one compiled form: a state's Pauli
+correlation tensor, built on first use, contracted per qubit with
+``(1, 0, 0, 0)`` or ``(0, n)`` gives the correlator of every qubit subset
+(``correlation_table``).  Probabilities expand into those correlators
+through ``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight
+of each subset, which ``lhv`` and ``optimize`` read as well.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import combinations, product
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +38,9 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Axis order of the Pauli correlation tensor.
+PAULI_AXES = "Ixyz"
+_PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -69,7 +79,7 @@ class StateVector:
                 f"expected {2 ** self.num_qubits} amplitudes, got {amplitudes.size}"
             )
         norm = float(np.linalg.norm(amplitudes))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # also refuses NaN and inf
             raise ContractViolationError(
                 f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}"
             )
@@ -78,6 +88,17 @@ class StateVector:
     @property
     def dimension(self) -> int:
         return 2**self.num_qubits
+
+    @cached_property
+    def pauli_tensor(self) -> np.ndarray:
+        """``<sigma_i1 x ... x sigma_in>`` with each ``i`` in ``PAULI_AXES``
+        order, shape ``(4,) * n``."""
+        n = self.num_qubits
+        paulis, rows, cols = "ABC"[:n], "DEF"[:n], "GHI"[:n]
+        spec = ",".join(p + r + c for p, r, c in zip(paulis, rows, cols))
+        psi = self.amplitudes.reshape((2,) * n)
+        tensor = np.einsum(f"{spec},{rows},{cols}->{paulis}", *[_PAULIS] * n, psi.conj(), psi)
+        return _read_only(np.ascontiguousarray(tensor.real))
 
 
 @dataclass(frozen=True)
@@ -91,7 +112,7 @@ class Observable:
         if len(direction) != 3:
             raise ContractViolationError("direction must have three components")
         norm = math.sqrt(sum(c * c for c in direction))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # also refuses NaN and inf
             raise ContractViolationError(
                 f"direction norm {norm!r} deviates from 1 by more than {NORM_ATOL}"
             )
@@ -112,6 +133,8 @@ class Observable:
     @classmethod
     def xz_plane(cls, theta: float) -> "Observable":
         """Observable at angle ``theta`` in the x-z plane."""
+        if not math.isfinite(theta):  # math.cos raises on infinities
+            raise ContractViolationError(f"angle {theta!r} must be finite")
         return cls((math.cos(theta), 0.0, math.sin(theta)))
 
     def matrix(self) -> np.ndarray:
@@ -151,6 +174,8 @@ class DensityMatrix:
         matrix = np.asarray(self.matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ContractViolationError(f"density matrix must be square, got {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ContractViolationError("density matrix entries must be finite")
         trace = complex(np.trace(matrix))
         if abs(trace - 1.0) > NORM_ATOL:
             raise ContractViolationError(f"trace {trace!r} deviates from 1")
@@ -188,31 +213,59 @@ def _check_outcomes(num_qubits: int, outcomes: Sequence[int]) -> tuple[int, ...]
     return outcomes
 
 
+@dataclass(frozen=True)
+class WalshForm:
+    """A function of +-1 outcomes as ``sum_S weight_S prod_{q in S} s_q``
+    divided by ``denominator``; ``S`` runs over 1-based qubit tuples and the
+    empty tuple is the constant."""
+
+    denominator: int
+    weights: tuple[tuple[tuple[int, ...], int], ...]
+
+    @classmethod
+    def of_event(cls, accepted: Collection[tuple[int, ...]], num_qubits: int) -> "WalshForm":
+        """Indicator of a set of outcome tuples, each expanded through
+        ``[s = o] = prod_q (1 + o_q s_q) / 2``; subsets by size, then in
+        lexicographic order, zero weights dropped."""
+        weights = []
+        for size in range(num_qubits + 1):
+            for subset in combinations(range(1, num_qubits + 1), size):
+                weight = sum(math.prod(o[q - 1] for q in subset) for o in accepted)
+                if weight:
+                    weights.append((subset, weight))
+        return cls(2**num_qubits, tuple(weights))
+
+    def value(self, table: np.ndarray) -> float:
+        """Contract with a ``correlation_table``."""
+        qubits = range(1, table.ndim + 1)
+        total = sum(
+            weight * table[tuple(int(q in subset) for q in qubits)]
+            for subset, weight in self.weights
+        )
+        return float(total) / self.denominator
+
+
+def correlation_table(state: StateVector, context: MeasurementContext) -> np.ndarray:
+    """Correlators of every qubit subset, shape ``(2,) * n``.
+
+    Entry ``[b1, ..., bn]`` is the expectation of the product of the context
+    observables on the qubits with ``b_q = 1``: the Pauli correlation tensor
+    contracted with ``(1, 0, 0, 0)`` or ``(0, n_q)`` on each qubit.
+    """
+    _check_context(state, context)
+    table = state.pauli_tensor
+    for observable in context.observables:
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *observable.direction]])
+        table = np.tensordot(table, rows, axes=(0, 1))
+    return table
+
+
 def outcome_probability(
     state: StateVector, context: MeasurementContext, outcomes: Sequence[int]
 ) -> float:
-    """Joint probability of one outcome tuple in a measurement context.
-
-    Parameters
-    ----------
-    state : StateVector
-    context : MeasurementContext
-        One observable per qubit.
-    outcomes : sequence of +1/-1, one per qubit.
-
-    Returns
-    -------
-    float
-        ``|| (P_1 x ... x P_n) |psi> ||^2`` with per-qubit projectors ``P_q``.
-    """
-    _check_context(state, context)
-    outcomes = _check_outcomes(state.num_qubits, outcomes)
-    projector = reduce(
-        np.kron,
-        [obs.projector(o) for obs, o in zip(context.observables, outcomes)],
-    )
-    projected = projector @ state.amplitudes
-    return float(np.real(np.vdot(projected, projected)))
+    """Joint probability of one outcome tuple in a measurement context,
+    ``<psi| P_1 x ... x P_n |psi>`` with per-qubit projectors ``P_q``."""
+    return event_probability(state, context, (outcomes,))
 
 
 def event_probability(
@@ -221,9 +274,10 @@ def event_probability(
     accepted: Iterable[Sequence[int]],
 ) -> float:
     """Probability that the joint outcome falls in a set of tuples."""
-    _check_context(state, context)
-    unique = sorted({_check_outcomes(state.num_qubits, o) for o in accepted}, reverse=True)
-    return sum(outcome_probability(state, context, o) for o in unique)
+    unique = {_check_outcomes(state.num_qubits, o) for o in accepted}
+    return WalshForm.of_event(unique, state.num_qubits).value(
+        correlation_table(state, context)
+    )
 
 
 def conditional_probability(
@@ -261,14 +315,9 @@ def correlator(
     ----------
     subset : iterable of 1-based qubit indices, defaults to all qubits.
 
-    Returns
-    -------
-    float
-        ``<psi| M |psi>`` where ``M`` tensors the subset observables with
-        identities elsewhere.  Marginal correlators do not depend on the
-        observables outside the subset.
+    Marginal correlators do not depend on the observables outside the
+    subset.
     """
-    _check_context(state, context)
     qubits = (
         tuple(range(1, state.num_qubits + 1)) if subset is None else tuple(sorted(set(subset)))
     )
@@ -277,12 +326,8 @@ def correlator(
     for q in qubits:
         if not 1 <= q <= state.num_qubits:
             raise ContractViolationError(f"qubit index {q} out of range")
-    factors = [
-        context.observables[q - 1].matrix() if q in qubits else PAULI_I
-        for q in range(1, state.num_qubits + 1)
-    ]
-    operator = reduce(np.kron, factors)
-    return float(np.real(np.vdot(state.amplitudes, operator @ state.amplitudes)))
+    table = correlation_table(state, context)
+    return float(table[tuple(int(q in qubits) for q in range(1, state.num_qubits + 1))])
 
 
 def partial_trace(state: StateVector, traced_qubit: int) -> DensityMatrix:

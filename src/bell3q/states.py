@@ -144,7 +144,7 @@ def load_custom(path: Path | str) -> StateVector:
         )
     amplitudes = np.array(values, dtype=complex)
     norm = float(np.linalg.norm(amplitudes))
-    if abs(norm - 1.0) > CUSTOM_NORM_ATOL:
+    if not abs(norm - 1.0) <= CUSTOM_NORM_ATOL:  # also refuses NaN and inf
         raise NormalizationError(
             f"{path}: norm {norm!r} deviates from 1 by more than {CUSTOM_NORM_ATOL}"
         )

@@ -1,11 +1,19 @@
 """Command line interface: payload schemas, formats and exit codes."""
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bell3q.cli
+import bell3q.expressions
 from bell3q.cli import main
 
 
@@ -309,3 +317,122 @@ def test_states_text_mode(capsys):
     code, out, err = run_cli(capsys, "states", "--out", "csv")
     assert code == 0
     assert out.startswith("key,value")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_REFUSED = [
+    (["eval", "--state", "w", "--expr", "mermin", "--bind", "A=angle:nan,B=x"], 3),
+    (["eval", "--state", "w", "--expr", "mermin", "--bind", "A=angle:inf,B=x"], 3),
+    (["argue", "--state", "singlet", "--angles", "0,1,nan,2"], 3),
+    (["eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=x", "--tol", "nan"], 2),
+    (["eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=x", "--tol", "-1"], 2),
+    (["argue", "--state", "w", "--tol", "inf"], 2),
+    (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "0"], 2),
+    (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "-1"], 2),
+    (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "nan"], 2),
+    (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "1e-320"], 4),
+    (["optimize", "--state", "w", "--expr", "mermin", "--budget", "-5"], 2),
+    (["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "nan"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", _REFUSED, ids=[" ".join(argv[-2:]) for argv, _ in _REFUSED])
+def test_non_finite_and_out_of_range_numbers_are_refused(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert "error" in err
+
+
+def test_non_finite_state_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("nan 0\n" + "0 0\n" * 6 + "1 0\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--state", f"file:{path}", "--expr", "mermin", "--bind", "A=z,B=x"
+    )
+    assert (code, out) == (3, "")
+    assert "norm nan" in err
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv", "text"])
+def test_non_finite_output_is_a_contract_violation(monkeypatch, capsys, out_format):
+    def handler(args):
+        return {"command": "states", "config": {}, "result": {"value": math.inf}}
+
+    monkeypatch.setattr(bell3q.cli, "_cmd_states", handler)
+    code, out, err = run_cli(capsys, "states", "--out", out_format)
+    assert (code, out) == (3, "")
+    assert "non-finite" in err
+
+
+def test_closed_pipe_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bell3q.cli", "states"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_eval_evaluates_each_term_once(monkeypatch, capsys):
+    calls = []
+    original = bell3q.expressions.term_value
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(bell3q.expressions, "term_value", counting)
+    payload = run_json(
+        capsys, "eval", "--state", "ghz", "--expr", "cabello_ch", "--bind", "A=z,B=x"
+    )
+    assert len(calls) == len(payload["result"]["terms"]) == 5
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e308"]),
+    st.floats(-10.0, 10.0).map(repr),
+)
+
+
+@st.composite
+def numeric_commands(draw):
+    x, y = draw(_NUMBERS), draw(_NUMBERS)
+    budget = str(draw(st.integers(-5, 5000)))
+    commands = [
+        ["eval", "--state", "w", "--expr", "mermin", "--bind", f"A=angle:{x},B=x", "--tol", y],
+        ["optimize", "--state", "w", "--expr", "mermin", "--grid-step", x, "--budget", budget],
+        [
+            "optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", x,
+            "--grid-step", y, "--budget", budget,
+        ],
+        ["argue", "--state", f"hardy:{x}", "--angles", f"{y},1,{x},2", "--tol", y],
+        ["optimize", "--hardy-search", "--state-angle", x],
+        ["states", "--state", f"hardy:{x}", "--out", "csv"],
+    ]
+    return draw(st.sampled_from(commands))
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=numeric_commands())
+def test_generated_numeric_arguments_end_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), stderr.getvalue()
+    if code != 0:
+        assert stdout.getvalue() == ""
+    elif "--out" not in argv:
+        _strict_json(stdout.getvalue())
