@@ -7,9 +7,9 @@ its value over all of them, and an extremal strategy is returned as a
 witness.  Enumeration order is deterministic: pairs are ordered by qubit then
 by the per-qubit label order, and assignments count up with -1 before +1.
 
-``classical_bounds`` reads each term's compiled Walsh form: one int8 +-1
-column per pair, multiplied along each weighted subset into an integer
-accumulator, so probability terms stay exact 0/1 indicators.
+``classical_bounds`` reads each term's compiled Walsh form back into exact
+integer values on the outcomes of the term's own labels, so probability
+terms stay exact 0/1 indicators, and broadcasts them over all strategies.
 ``strategy_value`` is the pure-python evaluator that reads the terms
 directly and serves as the independent reference.
 """
@@ -179,27 +179,23 @@ def classical_bounds(expression: "BellExpression") -> ClassicalBounds:
     """
     scheme = expression.scheme
     total = _check_size(scheme)
-    count = 2**total
-    position = {pair: i for i, pair in enumerate(scheme.pairs())}
-    outcomes = np.array([-1, 1], dtype=np.int8)
-    columns = [
-        np.tile(np.repeat(outcomes, 2 ** (total - 1 - p)), 2**p) for p in range(total)
-    ]
-
-    values = np.zeros(count)
+    # Strategies form a (2,) * L array, one axis per pair in scheme order
+    # holding -1 then +1, so the flat index is the enumeration index.  A
+    # term's exact values span the axes of its own labels, which increase
+    # with the qubit, so a reshape places them and they broadcast in.
+    axis = {pair: p for p, pair in enumerate(scheme.pairs())}
+    values = np.zeros((2,) * total)
     for term in expression.terms:
-        labels, walsh = term.payload.labels, term.payload.walsh
-        # every partial sum lies in [-bound, bound]; a signed type that holds
-        # -bound - 1 holds that range, so nothing wraps
-        bound = sum(abs(weight) for _, weight in walsh.weights)
-        dtype = np.min_scalar_type(-bound - 1)
-        accumulator = np.zeros(count, dtype=dtype)
-        for subset, weight in walsh.weights:
-            product = np.int8(1)
-            for qubit in subset:
-                product = product * columns[position[(qubit, labels[qubit - 1])]]
-            accumulator += dtype.type(weight) * product
-        values += term.coefficient * (accumulator // walsh.denominator)
+        walsh = term.payload.walsh
+        # integer_table puts +1 first on every axis and strategies put -1
+        # first, so the list is read backwards
+        exact = walsh.integer_table(scheme.num_qubits)[::-1]
+        table = np.array([value // walsh.denominator for value in exact])
+        shape = [1] * total
+        for pair in enumerate(term.payload.labels, start=1):
+            shape[axis[pair]] = 2
+        values += term.coefficient * table.reshape(shape)
+    values = values.reshape(-1)
 
     argmin = int(np.argmin(values))
     argmax = int(np.argmax(values))
@@ -208,5 +204,5 @@ def classical_bounds(expression: "BellExpression") -> ClassicalBounds:
         upper=float(values[argmax]),
         minimizer=_strategy_from_index(scheme, argmin, total),
         maximizer=_strategy_from_index(scheme, argmax, total),
-        strategy_count=count,
+        strategy_count=values.size,
     )

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,36 +213,66 @@ def _check_outcomes(num_qubits: int, outcomes: Sequence[int]) -> tuple[int, ...]
     return outcomes
 
 
+@cache
+def _subsets(num_qubits: int) -> dict[tuple[int, ...], int]:
+    """Every qubit subset, by size and then in lexicographic order, mapped
+    to its bit mask, qubit 1 most significant."""
+    qubits = range(1, num_qubits + 1)
+    return {
+        subset: sum(1 << (num_qubits - q) for q in subset)
+        for size in range(num_qubits + 1)
+        for subset in combinations(qubits, size)
+    }
+
+
+def _walsh_hadamard(values: list[int]) -> list[int]:
+    """``out[s] = sum_m values[m] (-1)^popcount(s & m)``; applied twice it
+    multiplies by ``len(values)``."""
+    values = list(values)
+    half = 1
+    while half < len(values):
+        for start in range(0, len(values), 2 * half):
+            for i in range(start, start + half):
+                a, b = values[i], values[i + half]
+                values[i], values[i + half] = a + b, a - b
+        half *= 2
+    return values
+
+
 @dataclass(frozen=True)
 class WalshForm:
     """A function of +-1 outcomes as ``sum_S weight_S prod_{q in S} s_q``
-    divided by ``denominator``; ``S`` runs over 1-based qubit tuples and the
-    empty tuple is the constant."""
+    divided by ``denominator``; ``S`` runs over 1-based qubit tuples, by size
+    and then in lexicographic order, and the empty tuple is the constant."""
 
     denominator: int
     weights: tuple[tuple[tuple[int, ...], int], ...]
 
     @classmethod
-    def of_event(cls, accepted: Collection[tuple[int, ...]], num_qubits: int) -> "WalshForm":
+    def of_event(cls, accepted: Iterable[tuple[int, ...]], num_qubits: int) -> "WalshForm":
         """Indicator of a set of outcome tuples, each expanded through
-        ``[s = o] = prod_q (1 + o_q s_q) / 2``; subsets by size, then in
-        lexicographic order, zero weights dropped."""
-        weights = []
-        for size in range(num_qubits + 1):
-            for subset in combinations(range(1, num_qubits + 1), size):
-                weight = sum(math.prod(o[q - 1] for q in subset) for o in accepted)
-                if weight:
-                    weights.append((subset, weight))
-        return cls(2**num_qubits, tuple(weights))
+        ``[s = o] = prod_q (1 + o_q s_q) / 2``."""
+        indicator = [0] * 2**num_qubits
+        for outcomes in accepted:
+            indicator[basis_index(outcomes)] = 1
+        dense = _walsh_hadamard(indicator)
+        weights = ((subset, dense[mask]) for subset, mask in _subsets(num_qubits).items())
+        return cls(2**num_qubits, tuple((s, w) for s, w in weights if w))
 
     def value(self, table: np.ndarray) -> float:
         """Contract with a ``correlation_table``."""
-        qubits = range(1, table.ndim + 1)
-        total = sum(
-            weight * table[tuple(int(q in subset) for q in qubits)]
-            for subset, weight in self.weights
-        )
+        masks, flat = _subsets(table.ndim), table.reshape(-1)
+        total = sum(weight * flat[masks[subset]] for subset, weight in self.weights)
         return float(total) / self.denominator
+
+    def integer_table(self, num_qubits: int) -> list[int]:
+        """``denominator`` times the function on every outcome tuple, exact
+        integers in amplitude-index order."""
+        dense = [0] * 2**num_qubits
+        masks = _subsets(num_qubits)
+        for subset, weight in self.weights:
+            dense[masks[subset]] = weight
+        return _walsh_hadamard(dense)
 
 
 def correlation_table(state: StateVector, context: MeasurementContext) -> np.ndarray:
@@ -256,8 +286,10 @@ def correlation_table(state: StateVector, context: MeasurementContext) -> np.nda
     table = state.pauli_tensor
     for observable in context.observables:
         rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *observable.direction]])
-        table = np.tensordot(table, rows, axes=(0, 1))
-    return table
+        # contract the leading axis; the new one goes last, so after every
+        # qubit the axes are back in order
+        table = (rows @ table.reshape(4, -1)).T
+    return table.reshape((2,) * state.num_qubits)
 
 
 def outcome_probability(
@@ -327,7 +359,7 @@ def correlator(
         if not 1 <= q <= state.num_qubits:
             raise ContractViolationError(f"qubit index {q} out of range")
     table = correlation_table(state, context)
-    return float(table[tuple(int(q in qubits) for q in range(1, state.num_qubits + 1))])
+    return float(table.reshape(-1)[_subsets(state.num_qubits)[qubits]])
 
 
 def partial_trace(state: StateVector, traced_qubit: int) -> DensityMatrix:

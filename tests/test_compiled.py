@@ -123,9 +123,12 @@ def test_walsh_form_reproduces_the_indicator_exactly():
             accepted = frozenset(tuples[int(i)] for i in picks)
             form = WalshForm.of_event(accepted, num_qubits)
             for s in tuples:
-                total = sum(weight * math.prod(s[q - 1] for q in subset) for subset, weight in form.weights)
+                total = sum(
+                    weight * math.prod(s[q - 1] for q in subset) for subset, weight in form.weights
+                )
                 assert total == form.denominator * (s in accepted)
-    assert WalshForm.of_event({(1, -1)}, 2).weights == (((), 1), ((1,), 1), ((2,), -1), ((1, 2), -1))
+    expected = (((), 1), ((1,), 1), ((2,), -1), ((1, 2), -1))
+    assert WalshForm.of_event({(1, -1)}, 2).weights == expected
     assert CorrelatorTerm(("A", "B", "A"), frozenset((3, 1))).walsh == WalshForm(1, (((1, 3), 1),))
 
 
@@ -219,9 +222,9 @@ def test_bounds_match_the_strategy_loop_bit_for_bit(expression):
     _assert_bounds_match_the_loop(expression)
 
 
-def test_bounds_on_seven_qubits_need_a_wider_accumulator():
-    # one accepted tuple on 7 qubits weighs 2^7 = 128 in the accumulator,
-    # one past what int8 holds
+def test_bounds_stay_exact_on_seven_qubits():
+    # one accepted tuple on 7 qubits carries the constant weight 2^7 = 128
+    # in its integer table, one past what int8 holds
     scheme = SettingScheme.uniform(7, ("A",))
     labels = ("A",) * 7
     all_but_one = frozenset(product((1, -1), repeat=7)) - {(1,) * 7}
