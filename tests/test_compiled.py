@@ -1,9 +1,10 @@
 """The compiled form against independent routes.
 
 Quantum values from the Pauli correlation tensor and Walsh weights are
-checked against the kron oracle in ``conftest``; the x-z plane objective
-against ``quantum_value``; the vectorized exact bounds against the
-pure-python ``strategy_value`` loop, bit for bit, witnesses included.
+checked against the kron oracle in ``conftest``, and the vectorized exact
+bounds against the pure-python ``strategy_value`` loop, bit for bit,
+witnesses included.  The x-z plane objective is checked against
+``quantum_value`` in ``test_optimize``.
 """
 import math
 import subprocess
@@ -46,7 +47,6 @@ from bell3q.qcore import WalshForm
 
 from conftest import kron_correlator, kron_outcome_probability, kron_term_value, make_context
 
-TWO_PI = 2.0 * math.pi
 
 
 def _random_state(rng, num_qubits):
@@ -130,20 +130,6 @@ def test_walsh_form_reproduces_the_indicator_exactly():
     expected = (((), 1), ((1,), 1), ((2,), -1), ((1, 2), -1))
     assert WalshForm.of_event({(1, -1)}, 2).weights == expected
     assert CorrelatorTerm(("A", "B", "A"), frozenset((3, 1))).walsh == WalshForm(1, (((1, 3), 1),))
-
-
-def test_plane_objective_matches_quantum_value():
-    rng = np.random.default_rng(11)
-    for name in catalog_ids():
-        expression = catalog(name)
-        for state in _states(expression.num_qubits, rng).values():
-            for mode in ("symmetric", "free"):
-                objective = PlaneObjective(expression, state, mode)
-                for _ in range(3):
-                    angles = rng.uniform(0.0, TWO_PI, size=objective.num_dims)
-                    assert objective.value(angles) == pytest.approx(
-                        quantum_value(expression, state, objective.binding(angles)), abs=1e-12
-                    ), (name, mode)
 
 
 def test_compiled_once_and_lazily():

@@ -25,8 +25,10 @@ from bell3q import (
     ConfigError,
     PlaneObjective,
     catalog,
+    catalog_ids,
     certify_below,
     ghz,
+    hardy,
     hardy_maximum,
     maximize,
     quantum_value,
@@ -132,23 +134,21 @@ def test_mode_validation():
 
 
 def test_objective_matches_quantum_value():
-    # dual route: the trigonometric atoms against the kron evaluation
-    cases = [
-        (catalog("mermin"), w(), "symmetric"),
-        (catalog("cabello_ch"), ghz(), "symmetric"),
-        (catalog("eq14"), w(), "symmetric"),
-        (catalog("chsh"), singlet(), "free"),
-        (catalog("ch"), singlet(), "free"),
-    ]
+    # dual route: the trigonometric atoms against the term-by-term quantum
+    # value, for every catalog entry on the catalog states of its size
+    states = {3: (w(), ghz()), 2: (singlet(), hardy(0.4347))}
     rng = np.random.default_rng(11)
-    for expression, state, mode in cases:
-        objective = PlaneObjective(expression, state, mode)
-        for _ in range(5):
-            angles = rng.uniform(0.0, TWO_PI, size=objective.num_dims)
-            binding = objective.binding(angles)
-            assert objective.value(angles) == pytest.approx(
-                quantum_value(expression, state, binding), abs=1e-12
-            )
+    for name in catalog_ids():
+        expression = catalog(name)
+        for state in states[expression.num_qubits]:
+            for mode in ("symmetric", "free"):
+                objective = PlaneObjective(expression, state, mode)
+                for _ in range(3):
+                    angles = rng.uniform(0.0, TWO_PI, size=objective.num_dims)
+                    binding = objective.binding(angles)
+                    assert objective.value(angles) == pytest.approx(
+                        quantum_value(expression, state, binding), abs=1e-12
+                    ), (name, mode)
 
 
 def test_objective_grid_matches_pointwise():
