@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, ContractViolationError, ExpressionFormatError
-from .lhv import DeterministicStrategy, SettingScheme, classical_bounds
+from .lhv import ClassicalBounds, DeterministicStrategy, SettingScheme, classical_bounds
 from .qcore import (
     MeasurementContext,
     Observable,
@@ -147,6 +147,11 @@ class BellExpression:
     @property
     def num_qubits(self) -> int:
         return self.scheme.num_qubits
+
+    @cached_property
+    def bounds(self) -> ClassicalBounds:
+        """The exact classical range, enumerated on first use."""
+        return classical_bounds(self)
 
 
 class Binding:
@@ -281,7 +286,7 @@ def evaluate_report(
     """
     breakdown = term_breakdown(expression, state, binding)
     value = _combine(breakdown)
-    bounds = classical_bounds(expression)
+    bounds = expression.bounds
     raw_margin = max(0.0, value - bounds.upper, bounds.lower - value)
     margin = 0.0 if raw_margin <= tolerance else raw_margin
     violated = margin > 0.0

@@ -1,14 +1,24 @@
-"""Derivative-free maximization of Bell expressions over x-z plane angles.
+"""Maximization of Bell expressions over x-z plane angles.
 
 The search space is one angle per setting label (symmetric mode, the same
 observable on every qubit) or one angle per (qubit, label) pair (free mode).
 Every expression restricted to the x-z plane is a trigonometric polynomial.
 ``PlaneObjective`` reads it off the compiled form: each weighted subset of a
 term's Walsh form expands over the cos (x) and sin (z) components of its
-qubits' angles, weighted by the state's Pauli correlation tensor.  The
-optimizer evaluates that polynomial over an exhaustive coarse grid, then
-refines the best grid points with a shrinking coordinate search.  Everything
-is deterministic: two runs with the same inputs give identical results.
+qubits' angles, weighted by the state's Pauli correlation tensor.
+
+In free mode every atom of that polynomial holds at most one angle of each
+qubit, so with the other qubits' angles fixed the objective is
+``c + sum_l (a_l cos t_l + b_l sin t_l)`` over one qubit's labels ``l``.  Its
+maximum over those angles is exact, ``c + sum_l hypot(a_l, b_l)`` at
+``t_l = atan2(b_l, a_l)``.  Free mode closes the qubit with the most labels
+(the last one on a tie) that way and searches only the other, "open",
+angles.  Symmetric mode closes nothing: a label shared by several qubits
+makes the objective of higher degree in its angle.  The optimizer evaluates
+the objective over an exhaustive coarse grid of the open angles, then
+refines the best grid points with a shrinking coordinate search.
+Everything is deterministic: two runs with the same inputs give identical
+results.
 """
 from __future__ import annotations
 
@@ -28,17 +38,36 @@ SYMMETRIC_GRID_STEP = 0.02
 FREE_GRID_STEP = 0.1
 DEFAULT_BUDGET = 10**8
 REFINE_TOLERANCE = 1e-6
+GRID_SLAB_POINTS = 2**20
+HARDY_THETA_MIN = 1e-6
+HARDY_TIE_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def _sum_atoms(total, atoms, cos, sin):
+    """Add ``coefficient * prod cos/sin`` over atoms to ``total``.
+
+    ``cos`` and ``sin`` hold one component per dimension: scalars for one
+    point, or arrays shaped to broadcast over a grid.
+    """
+    for coefficient, factors in atoms:
+        part = coefficient
+        for dim, axis in factors:
+            part = part * (cos[dim] if axis == "x" else sin[dim])
+        total += part
+    return total
+
+
 class PlaneObjective:
-    """Fast evaluator of an expression over x-z plane angles.
+    """Evaluator of an expression over x-z plane angles.
 
     Reduces the expression to atoms ``coefficient * prod_k comp(dim_k)``
     where each component is cos (x part) or sin (z part) of one search
-    dimension.  Supports pointwise evaluation and full-grid evaluation with
-    numpy broadcasting; both agree with the qcore evaluation route to
-    floating point accuracy.
+    dimension.  ``value`` evaluates them at full angles.  ``grid_values`` and
+    ``best_value`` take the open angles only and give the exact maximum over
+    the closed ones (in symmetric mode, where nothing is closed, the plain
+    value); ``complete`` recovers the closed angles that reach it.  All agree
+    with the qcore evaluation route to floating point accuracy.
     """
 
     def __init__(self, expression: BellExpression, state: StateVector, mode: str):
@@ -57,9 +86,18 @@ class PlaneObjective:
         if mode == "symmetric":
             self.dims: tuple = tuple(dict.fromkeys(label for _, label in pairs))
             self._dim_of = {pair: self.dims.index(pair[1]) for pair in pairs}
+            self.closed_dims: tuple[int, ...] = ()
         else:
             self.dims = pairs
             self._dim_of = {pair: i for i, pair in enumerate(pairs)}
+            counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
+            closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
+            self.closed_dims = tuple(
+                i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit
+            )
+        self.open_dims = tuple(
+            i for i in range(len(self.dims)) if i not in self.closed_dims
+        )
 
         self.constant = 0.0
         self.atoms: list[tuple[float, tuple[tuple[int, str], ...]]] = []
@@ -84,40 +122,65 @@ class PlaneObjective:
                     )
                     self.atoms.append((scale * weight * entry, factors))
 
+        # Split the atoms by their closed factor, if any, and renumber the
+        # rest over the open dimensions: atoms without one sum to c, those
+        # with cos t_l (sin t_l) to a_l (b_l).
+        position = {dim: p for p, dim in enumerate(self.open_dims)}
+        groups = {(dim, axis): [] for dim in self.closed_dims for axis in "xz"}
+        self._open_atoms: list = []
+        for coefficient, factors in self.atoms:
+            closed = [factor for factor in factors if factor[0] not in position]
+            rest = tuple((position[dim], axis) for dim, axis in factors if dim in position)
+            (groups[closed[0]] if closed else self._open_atoms).append((coefficient, rest))
+        self._closed_atoms = [
+            (groups[(dim, "x")], groups[(dim, "z")]) for dim in self.closed_dims
+        ]
+
     @property
     def num_dims(self) -> int:
         return len(self.dims)
 
     def value(self, angles: np.ndarray) -> float:
-        cos = np.cos(angles)
-        sin = np.sin(angles)
-        total = self.constant
-        for coefficient, factors in self.atoms:
-            part = coefficient
-            for dim, axis in factors:
-                part *= cos[dim] if axis == "x" else sin[dim]
-            total += part
-        return float(total)
+        """The objective at full angles, one per dimension."""
+        return float(_sum_atoms(self.constant, self.atoms, np.cos(angles), np.sin(angles)))
+
+    def _parts(self, start, cos, sin):
+        """c and each closed label's (a_l, b_l) at the open components;
+        ``start(v)`` makes a fresh accumulator holding v."""
+        c = _sum_atoms(start(self.constant), self._open_atoms, cos, sin)
+        return c, [
+            (_sum_atoms(start(0.0), x, cos, sin), _sum_atoms(start(0.0), z, cos, sin))
+            for x, z in self._closed_atoms
+        ]
 
     def grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
-        if len(axes) != self.num_dims:
+        """Maximum over the closed angles at every point of an open grid."""
+        if len(axes) != len(self.open_dims):
             raise ContractViolationError(
-                f"expected {self.num_dims} axes, got {len(axes)}"
+                f"expected {len(self.open_dims)} axes, got {len(axes)}"
             )
         shape = tuple(len(axis) for axis in axes)
-        cos = [np.cos(axis) for axis in axes]
-        sin = [np.sin(axis) for axis in axes]
-        ndim = len(axes)
-        total = np.full(shape, self.constant)
-        for coefficient, factors in self.atoms:
-            part = np.array(coefficient)
-            for dim, axis in factors:
-                component = cos[dim] if axis == "x" else sin[dim]
-                view_shape = [1] * ndim
-                view_shape[dim] = -1
-                part = part * component.reshape(view_shape)
-            total += part
+        mesh = np.ix_(*axes)  # each axis shaped to broadcast along its own dim
+        cos = [np.cos(axis) for axis in mesh]
+        sin = [np.sin(axis) for axis in mesh]
+        total, closed = self._parts(lambda value: np.full(shape, value), cos, sin)
+        for a, b in closed:
+            total += np.hypot(a, b)
         return total
+
+    def best_value(self, open_angles: np.ndarray) -> float:
+        """Maximum over the closed angles at one point of the open angles."""
+        total, closed = self._parts(float, np.cos(open_angles), np.sin(open_angles))
+        return float(total + sum(math.hypot(a, b) for a, b in closed))
+
+    def complete(self, open_angles: np.ndarray) -> np.ndarray:
+        """Full angles: the open ones given, the closed ones at their maximum."""
+        _, closed = self._parts(float, np.cos(open_angles), np.sin(open_angles))
+        angles = np.zeros(self.num_dims)
+        angles[list(self.open_dims)] = open_angles
+        for dim, (a, b) in zip(self.closed_dims, closed):
+            angles[dim] = math.atan2(b, a)
+        return angles
 
     def binding(self, angles: np.ndarray) -> Binding:
         return AnglePoint(self.mode, self.dims, tuple(float(a) for a in angles)).binding(
@@ -194,7 +257,7 @@ class CertificationResult:
 
 
 def _refine(
-    objective: PlaneObjective,
+    evaluate,
     start: np.ndarray,
     start_value: float,
     initial_step: float,
@@ -211,7 +274,7 @@ def _refine(
             for delta in (step, -step):
                 trial = current.copy()
                 trial[dim] = (trial[dim] + delta) % TWO_PI
-                value = objective.value(trial)
+                value = evaluate(trial)
                 evaluations += 1
                 if value > best:
                     best = value
@@ -220,6 +283,28 @@ def _refine(
         if not improved:
             step *= 0.5
     return current, best, evaluations
+
+
+def _grid_maximum(
+    objective: PlaneObjective, axis: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """First maximum, in row order, of the grid over the open angles.
+
+    The grid is evaluated in slabs along its first axis of at most
+    GRID_SLAB_POINTS points each (at least one row), so memory stays bounded;
+    a later slab wins only when strictly greater.
+    """
+    dims = len(objective.open_dims)  # at least one: states have two qubits
+    rows = max(1, GRID_SLAB_POINTS // len(axis) ** (dims - 1))
+    best_value, best_angles = -math.inf, None
+    for first in range(0, len(axis), rows):
+        axes = [axis[first : first + rows]] + [axis] * (dims - 1)
+        grid = objective.grid_values(axes)
+        index = np.unravel_index(int(np.argmax(grid)), grid.shape)
+        if grid[index] > best_value:
+            best_value = float(grid[index])
+            best_angles = np.array([axes[d][index[d]] for d in range(dims)])
+    return best_value, best_angles
 
 
 def maximize(
@@ -235,12 +320,17 @@ def maximize(
 
     An exhaustive coarse grid (default step 0.02 rad in symmetric mode,
     0.1 rad in free mode) locates the basin; a shrinking coordinate search
-    refines it below ``refine_tolerance``.  Free mode additionally warm
-    starts from the symmetric optimum, so the free result is never worse
-    than the symmetric one.  Raises ConfigError for a grid step or refine
-    tolerance that is not positive and finite or a budget below 1, and
-    BudgetExceededError when the grid would need more than ``budget``
-    evaluations.
+    refines it below ``refine_tolerance``.  Free mode closes one qubit's
+    angles exactly (see the module docstring): its grid and refinement run
+    over the other qubits' angles only, and the closed angles of the result
+    come from ``atan2``.  There ``grid_value`` is the best grid point's
+    value with its closed angles already at their maximum, and
+    ``evaluations`` counts such evaluations of the open angles.  Free mode
+    additionally warm starts from the symmetric optimum, so the free result
+    is never worse than the symmetric one.  Raises ConfigError for a grid
+    step or refine tolerance that is not positive and finite or a budget
+    below 1, and BudgetExceededError when the grid would need more than
+    ``budget`` evaluations.
     """
     step = grid_step if grid_step is not None else (
         SYMMETRIC_GRID_STEP if mode == "symmetric" else FREE_GRID_STEP
@@ -257,18 +347,15 @@ def maximize(
             f"grid step {step} needs more than {budget} points per axis"
         )
     count = max(2, math.ceil(per_axis))
-    points = count**objective.num_dims
+    open_dims = len(objective.open_dims)
+    points = count**open_dims
     if points > budget:
         raise BudgetExceededError(
             f"grid of {points} points exceeds budget {budget} "
-            f"({objective.num_dims} dimensions at step {step})"
+            f"({open_dims} open dimensions at step {step})"
         )
-    axes = [np.linspace(0.0, TWO_PI, count, endpoint=False)] * objective.num_dims
-    grid = objective.grid_values(axes)
-    flat = int(np.argmax(grid))
-    index = np.unravel_index(flat, grid.shape)
-    grid_angles = np.array([axes[d][index[d]] for d in range(objective.num_dims)])
-    grid_value = float(grid[index])
+    axis = np.linspace(0.0, TWO_PI, count, endpoint=False)
+    grid_value, grid_angles = _grid_maximum(objective, axis)
     evaluations = points
 
     candidates = [(grid_value, grid_angles, step)]
@@ -280,21 +367,23 @@ def maximize(
             budget=budget,
             refine_tolerance=refine_tolerance,
         )
-        evaluations += symmetric.evaluations
         by_label = dict(zip(symmetric.point.dims, symmetric.point.angles))
-        embedded = np.array([by_label[label] for _, label in objective.dims])
-        candidates.append((symmetric.value, embedded, SYMMETRIC_GRID_STEP))
+        embedded = np.array([by_label[objective.dims[d][1]] for d in objective.open_dims])
+        start_value = objective.best_value(embedded)
+        evaluations += symmetric.evaluations + 1
+        candidates.append((start_value, embedded, SYMMETRIC_GRID_STEP))
 
     best_angles, best_value = None, -math.inf
     for start_value, start, start_step in candidates:
         refined, value, used = _refine(
-            objective, start, start_value, start_step, refine_tolerance
+            objective.best_value, start, start_value, start_step, refine_tolerance
         )
         evaluations += used
         if value > best_value:
             best_value, best_angles = value, refined
 
-    point = AnglePoint(mode, objective.dims, tuple(float(a) for a in best_angles))
+    angles = objective.complete(best_angles)
+    point = AnglePoint(mode, objective.dims, tuple(float(a) for a in angles))
     return OptimizationResult(
         point=point,
         value=best_value,
@@ -331,23 +420,18 @@ def certify_below(
     )
 
 
-def _plus_eigenvector(theta: float) -> np.ndarray:
-    half = math.pi / 4.0 - theta / 2.0
-    return np.array([math.cos(half), math.sin(half)])
+def _unit_orthogonal(x, y):
+    """The unit vector orthogonal to (x, y), rotated a quarter turn."""
+    norm = np.sqrt(x * x + y * y)
+    return -y / norm, x / norm
 
 
-def _orthogonal(vector: np.ndarray) -> np.ndarray:
-    return np.array([-vector[1], vector[0]])
+def _plus_eigenvector_angle(x, y):
+    """Plane angle of the observable whose +1 eigenvector is the unit (x, y)."""
+    return np.arctan2(x * x - y * y, 2.0 * x * y) % TWO_PI
 
 
-def _angle_of_plus_eigenvector(vector: np.ndarray) -> float:
-    v = vector / np.linalg.norm(vector)
-    nx = 2.0 * v[0] * v[1]
-    nz = v[0] ** 2 - v[1] ** 2
-    return math.atan2(nz, nx) % TWO_PI
-
-
-def _hardy_chain(theta: float, beta2: float) -> tuple[float, tuple[float, float, float, float]]:
+def _hardy_chain(theta, beta2):
     """Observable angles satisfying the sometimes-always-never chain exactly.
 
     For the state cos(theta)|++> + sin(theta)|--> and a free angle for b2,
@@ -355,24 +439,19 @@ def _hardy_chain(theta: float, beta2: float) -> tuple[float, tuple[float, float,
     a2 = +1 forces b1 = +1, never b1 = b2 = +1) determine a1, b1 and a2
     uniquely, so (theta, beta2) parameterizes every chain configuration.
     Returns the chain's first probability and the four observable angles.
+    Both arguments may be numpy arrays; the results broadcast over them.
     """
-    amplitude = np.array([[math.cos(theta), 0.0], [0.0, math.sin(theta)]])
-    b2_plus = _plus_eigenvector(beta2)
-    b2_minus = _orthogonal(b2_plus)
-
-    chi_a = amplitude @ b2_minus
-    a1_plus = _orthogonal(chi_a / np.linalg.norm(chi_a))
-    chi_b = amplitude @ b2_plus
-    b1_plus = _orthogonal(chi_b / np.linalg.norm(chi_b))
-    b1_minus = _orthogonal(b1_plus)
-    chi_c = amplitude.T @ b1_minus
-    a2_plus = _orthogonal(chi_c / np.linalg.norm(chi_c))
-
-    p1 = float(a1_plus @ amplitude @ a2_plus) ** 2
+    c, s = np.cos(theta), np.sin(theta)
+    half = math.pi / 4.0 - beta2 / 2.0
+    u, v = np.cos(half), np.sin(half)  # b2's +1 eigenvector; (-v, u) is its -1
+    a1 = _unit_orthogonal(-c * v, s * u)
+    b1 = _unit_orthogonal(c * u, s * v)
+    a2 = _unit_orthogonal(-c * b1[1], s * b1[0])  # amplitudes times b1's -1
+    p1 = (a1[0] * c * a2[0] + a1[1] * s * a2[1]) ** 2
     angles = (
-        _angle_of_plus_eigenvector(a1_plus),
-        _angle_of_plus_eigenvector(b1_plus),
-        _angle_of_plus_eigenvector(a2_plus),
+        _plus_eigenvector_angle(*a1),
+        _plus_eigenvector_angle(*b1),
+        _plus_eigenvector_angle(*a2),
         beta2 % TWO_PI,
     )
     return p1, angles
@@ -405,39 +484,40 @@ def hardy_maximum(
 ) -> HardyOptimum:
     """Maximize the sometimes-always-never chain's first probability.
 
-    Searches jointly over the state angle in (0, pi/4] and the observable
+    Searches jointly over the state angle in [1e-6, pi/4] and the observable
     angles; the chain's three zero constraints pin four observable angles
     down to one free angle, so the search runs over (theta, beta2) and the
-    remaining angles are recovered, not asserted.  Pass ``state_angle`` to
-    restrict the search to one state; at pi/4 the maximum collapses to 0.
+    remaining angles are recovered, not asserted.  A 64 x 128 grid, taken in
+    one broadcast, seeds a shrinking coordinate search.  Pass
+    ``state_angle`` to restrict the search to one state; at pi/4 the maximum
+    collapses to 0, and below 1e-6 (where the chain's norms underflow) it is
+    refused with ConfigError.
     The returned value is the ch catalog expression's middle term evaluated
     at the found configuration, which equals the chain's first probability
     because the constraint probabilities vanish.
     """
-    theta_min = 1e-6
     if state_angle is None:
         thetas = np.linspace(0.005, math.pi / 4.0, 64)
     else:
-        if not 0.0 < state_angle <= math.pi / 4.0:
-            raise ConfigError(f"state angle {state_angle!r} outside (0, pi/4]")
+        if not HARDY_THETA_MIN <= state_angle <= math.pi / 4.0:
+            raise ConfigError(
+                f"state angle {state_angle!r} outside [{HARDY_THETA_MIN}, pi/4]"
+            )
         thetas = np.array([state_angle])
     betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
 
-    best_value = -math.inf
-    best = (float(thetas[0]), float(betas[0]))
-    evaluations = 0
-    for theta in thetas:
-        for beta in betas:
-            value, _ = _hardy_chain(float(theta), float(beta))
-            evaluations += 1
-            if value > best_value:
-                best_value = value
-                best = (float(theta), float(beta))
+    # The grid has exact symmetric ties, so its winner is the first point in
+    # row order within HARDY_TIE_TOLERANCE of the maximum.
+    grid, _ = _hardy_chain(thetas[:, None], betas[None, :])
+    first = np.flatnonzero(grid >= grid.max() - HARDY_TIE_TOLERANCE)[0]
+    row, column = np.unravel_index(first, grid.shape)
+    current = [float(thetas[row]), float(betas[column])]
+    best_value = float(grid[row, column])
+    evaluations = grid.size
 
     def clamp_theta(value: float) -> float:
-        return min(max(value, theta_min), math.pi / 4.0)
+        return min(max(value, HARDY_THETA_MIN), math.pi / 4.0)
 
-    current = list(best)
     step = 0.05
     while step >= refine_tolerance:
         improved = False
@@ -462,6 +542,7 @@ def hardy_maximum(
 
     theta_star, beta_star = current
     _, angles = _hardy_chain(theta_star, beta_star)
+    angles = tuple(float(angle) for angle in angles)
     state = states.hardy(theta_star)
     report = run_hardy_argument(
         state,

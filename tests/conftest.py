@@ -3,8 +3,11 @@
 The ``kron_*`` helpers evaluate quantum values the direct way, building
 Kronecker-product projectors and operators on the amplitude vector.  They
 share no code with the package's compiled route (Pauli correlation tensor
-and Walsh weights) and serve as its oracle.
+and Walsh weights) and serve as its oracle.  ``scalar_hardy_*`` is the
+one-point-at-a-time Hardy chain and grid loop, the oracle of the
+broadcast search in ``bell3q.optimize``.
 """
+import math
 from functools import reduce
 
 import numpy as np
@@ -107,3 +110,51 @@ def basis_state(num_qubits, index):
     amplitudes = np.zeros(2**num_qubits)
     amplitudes[index] = 1.0
     return StateVector(num_qubits, amplitudes)
+
+
+def _plus_eigenvector(theta):
+    half = math.pi / 4.0 - theta / 2.0
+    return np.array([math.cos(half), math.sin(half)])
+
+
+def _orthogonal(vector):
+    return np.array([-vector[1], vector[0]])
+
+
+def _angle_of_plus_eigenvector(vector):
+    v = vector / np.linalg.norm(vector)
+    return math.atan2(v[0] ** 2 - v[1] ** 2, 2.0 * v[0] * v[1]) % (2.0 * math.pi)
+
+
+def scalar_hardy_chain(theta, beta2):
+    """The sometimes-always-never chain at one (theta, beta2), built from
+    explicit eigenvectors: a1 = +1 forces b2 = +1, a2 = +1 forces b1 = +1,
+    and b1 = b2 = +1 never happens.  Returns p1 and the four angles."""
+    amplitude = np.array([[math.cos(theta), 0.0], [0.0, math.sin(theta)]])
+    b2_plus = _plus_eigenvector(beta2)
+    chi_a = amplitude @ _orthogonal(b2_plus)
+    a1_plus = _orthogonal(chi_a / np.linalg.norm(chi_a))
+    chi_b = amplitude @ b2_plus
+    b1_plus = _orthogonal(chi_b / np.linalg.norm(chi_b))
+    chi_c = amplitude.T @ _orthogonal(b1_plus)
+    a2_plus = _orthogonal(chi_c / np.linalg.norm(chi_c))
+    p1 = float(a1_plus @ amplitude @ a2_plus) ** 2
+    angles = (
+        _angle_of_plus_eigenvector(a1_plus),
+        _angle_of_plus_eigenvector(b1_plus),
+        _angle_of_plus_eigenvector(a2_plus),
+        beta2 % (2.0 * math.pi),
+    )
+    return p1, angles
+
+
+def scalar_hardy_grid(thetas, betas):
+    """Every grid point's p1 by a double loop, and the first strict maximum."""
+    values = np.empty((len(thetas), len(betas)))
+    best_value, winner = -math.inf, None
+    for i, theta in enumerate(thetas):
+        for j, beta in enumerate(betas):
+            values[i, j], _ = scalar_hardy_chain(float(theta), float(beta))
+            if values[i, j] > best_value:
+                best_value, winner = values[i, j], (i, j)
+    return values, winner

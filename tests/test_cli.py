@@ -257,7 +257,8 @@ def test_exit_code_contract_violation(capsys):
 
 def test_exit_code_budget(capsys):
     code, out, err = run_cli(
-        capsys, "optimize", "--state", "ghz", "--expr", "mermin", "--mode", "free"
+        capsys, "optimize", "--state", "ghz", "--expr", "mermin", "--mode", "free",
+        "--budget", "1000000",
     )
     assert code == 4
 
@@ -436,3 +437,10 @@ def test_generated_numeric_arguments_end_cleanly(argv):
         assert stdout.getvalue() == ""
     elif "--out" not in argv:
         _strict_json(stdout.getvalue())
+
+
+def test_hardy_search_refuses_an_underflowing_state_angle(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--hardy-search", "--state-angle", "1e-200")
+    assert code == 2
+    assert out == ""
+    assert "state angle" in err

@@ -18,6 +18,7 @@ import math
 
 import pytest
 
+import bell3q.expressions
 from bell3q import (
     Binding,
     ConfigError,
@@ -324,3 +325,21 @@ def test_format_term_examples():
     assert format_term(corr) == "-1 CORR q1:A q2:B SUBSET=1,2"
     prob = Term(0.5, ProbabilityTerm(("A", "B"), frozenset(((1, -1), (-1, 1)))))
     assert format_term(prob) == "0.5 PROB q1:A q2:B ACCEPT=+-,-+"
+
+
+def test_evaluate_report_enumerates_once_per_expression(monkeypatch):
+    calls = []
+    original = bell3q.expressions.classical_bounds
+
+    def counting(expression):
+        calls.append(expression.name)
+        return original(expression)
+
+    monkeypatch.setattr(bell3q.expressions, "classical_bounds", counting)
+    expression = BellExpression(
+        "zz", SettingScheme.uniform(2), (Term(1.0, CorrelatorTerm(("A", "A"), {1, 2})),)
+    )
+    binding = Binding.uniform(expression.scheme, {"A": Observable.z(), "B": Observable.x()})
+    reports = [evaluate_report(expression, state, binding) for state in (singlet(), singlet())]
+    assert calls == ["zz"]
+    assert reports[0].classical_upper == expression.bounds.upper == 1.0

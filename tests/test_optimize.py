@@ -24,6 +24,7 @@ from bell3q import (
     BudgetExceededError,
     ConfigError,
     PlaneObjective,
+    StateVector,
     catalog,
     catalog_ids,
     certify_below,
@@ -35,6 +36,9 @@ from bell3q import (
     singlet,
     w,
 )
+from bell3q.optimize import _hardy_chain
+
+from conftest import scalar_hardy_chain, scalar_hardy_grid
 
 MERMIN_W_MAX = 3.045956
 GOLDEN_RATIO_PROBABILITY = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
@@ -123,7 +127,7 @@ def test_determinism():
 
 def test_budget_guard_free_three_qubits():
     with pytest.raises(BudgetExceededError):
-        maximize(catalog("mermin"), ghz(), "free")
+        maximize(catalog("mermin"), ghz(), "free", budget=10**6)
     with pytest.raises(BudgetExceededError):
         maximize(catalog("chsh"), singlet(), "free", budget=1000)
 
@@ -206,3 +210,72 @@ def test_hardy_maximum_small_angle_limit():
 def test_hardy_maximum_rejects_bad_state_angle():
     with pytest.raises(ConfigError):
         hardy_maximum(state_angle=1.0)
+
+
+def test_three_qubit_free_mode_runs():
+    # one qubit closed exactly, a 13^4 grid over the other two qubits' angles
+    free = maximize(catalog("mermin"), ghz(), "free", grid_step=0.5)
+    assert free.value == pytest.approx(4.0, abs=1e-6)
+    free = maximize(catalog("mermin"), w(), "free", grid_step=0.5)
+    assert free.value >= MERMIN_W_MAX - 1e-6
+
+
+def _random_state(rng, num_qubits):
+    amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes))
+
+
+def test_closed_qubit_oracle():
+    # the closed-form maximum over the closed qubit's angles against the
+    # plain objective: equal at the recovered angles, never beaten by a scan
+    # of any one closed angle, and the same on the open grid
+    rng = np.random.default_rng(5)
+    states = {
+        3: (w(), ghz(), _random_state(rng, 3)),
+        2: (singlet(), hardy(0.4347), _random_state(rng, 2)),
+    }
+    scan = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    for name in catalog_ids():
+        expression = catalog(name)
+        for state in states[expression.num_qubits]:
+            objective = PlaneObjective(expression, state, "free")
+            assert objective.closed_dims
+            open_angles = rng.uniform(0.0, TWO_PI, size=len(objective.open_dims))
+            best = objective.best_value(open_angles)
+            angles = objective.complete(open_angles)
+            assert np.array_equal(angles[list(objective.open_dims)], open_angles)
+            assert best == pytest.approx(objective.value(angles), abs=1e-12), name
+            for dim in objective.closed_dims:
+                trial = angles.copy()
+                for t in scan:
+                    trial[dim] = t
+                    assert objective.value(trial) <= best + 1e-12, (name, dim)
+            axes = [np.linspace(0.0, TWO_PI, 3, endpoint=False)] * len(objective.open_dims)
+            grid = objective.grid_values(axes)
+            for index in np.ndindex(grid.shape):
+                point = np.array([axes[d][i] for d, i in enumerate(index)])
+                assert grid[index] == pytest.approx(objective.best_value(point), abs=1e-12)
+
+
+def test_hardy_chain_broadcast_matches_scalar_loop():
+    thetas = np.linspace(0.005, math.pi / 4.0, 64)
+    betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
+    expected, winner = scalar_hardy_grid(thetas, betas)
+    values, angles = _hardy_chain(thetas[:, None], betas[None, :])
+    assert np.max(np.abs(values - expected)) <= 1e-15
+    first = np.flatnonzero(values >= values.max() - 1e-12)[0]
+    assert np.unravel_index(first, values.shape) == winner
+    angles = [np.broadcast_to(angle, values.shape) for angle in angles]
+    for i, theta in enumerate(thetas):
+        for j, beta in enumerate(betas):
+            _, oracle = scalar_hardy_chain(float(theta), float(beta))
+            for found, want in zip(angles, oracle):
+                # angles near 2 pi: a few units in the last place
+                assert _circular_distance(found[i, j], want) <= 4e-15
+
+
+def test_hardy_maximum_rejects_underflowing_state_angle():
+    for angle in (1e-200, 1e-7):
+        with pytest.raises(ConfigError):
+            hardy_maximum(state_angle=angle)
+    assert hardy_maximum(state_angle=1e-6).value >= 0.0
