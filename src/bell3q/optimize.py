@@ -16,15 +16,21 @@ maximum over those angles is exact, ``c + sum_l hypot(a_l, b_l)`` at
 angles.  Symmetric mode closes nothing: a label shared by several qubits
 makes the objective of higher degree in its angle.  The optimizer evaluates
 the objective over an exhaustive coarse grid of the open angles, then
-refines the best grid points with a shrinking coordinate search.
-Everything is deterministic: two runs with the same inputs give identical
-results.
+refines the grid's winner with a shrinking coordinate search.
+
+An atom is a product of one factor per open axis, so K atoms over the grid
+sum K rank-1 tensors: one matrix product of their factors over all but the
+last axis with their coefficients times their last-axis factors.  Exact
+symmetries of the objective give its grid optima that differ only by
+rounding, so the winner is the first point in row order within
+``TIE_TOLERANCE`` of the maximum (the Hardy grid's rule too).  Everything
+is deterministic: two runs with the same inputs give identical results.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -40,16 +46,13 @@ DEFAULT_BUDGET = 10**8
 REFINE_TOLERANCE = 1e-6
 GRID_SLAB_POINTS = 2**20
 HARDY_THETA_MIN = 1e-6
-HARDY_TIE_TOLERANCE = 1e-12
+TIE_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
 def _sum_atoms(total, atoms, cos, sin):
-    """Add ``coefficient * prod cos/sin`` over atoms to ``total``.
-
-    ``cos`` and ``sin`` hold one component per dimension: scalars for one
-    point, or arrays shaped to broadcast over a grid.
-    """
+    """Add ``coefficient * prod cos/sin`` over atoms to ``total`` at one
+    point; ``cos`` and ``sin`` hold one float per dimension."""
     for coefficient, factors in atoms:
         part = coefficient
         for dim, axis in factors:
@@ -66,8 +69,10 @@ class PlaneObjective:
     dimension.  ``value`` evaluates them at full angles.  ``grid_values`` and
     ``best_value`` take the open angles only and give the exact maximum over
     the closed ones (in symmetric mode, where nothing is closed, the plain
-    value); ``complete`` recovers the closed angles that reach it.  All agree
-    with the qcore evaluation route to floating point accuracy.
+    value); ``complete`` recovers the closed angles that reach it.  The grid
+    takes each atom group (c, a_l, b_l) as one matrix product of per-axis
+    factors, a point sums atoms on Python floats.  All agree with the qcore
+    evaluation route to floating point accuracy.
     """
 
     def __init__(self, expression: BellExpression, state: StateVector, mode: str):
@@ -122,19 +127,17 @@ class PlaneObjective:
                     )
                     self.atoms.append((scale * weight * entry, factors))
 
-        # Split the atoms by their closed factor, if any, and renumber the
-        # rest over the open dimensions: atoms without one sum to c, those
-        # with cos t_l (sin t_l) to a_l (b_l).
+        # Split the atoms into groups by their closed factor, if any, and
+        # renumber the rest over the open dimensions: c (no closed factor),
+        # then a_l (cos t_l) and b_l (sin t_l) of each closed label in turn.
         position = {dim: p for p, dim in enumerate(self.open_dims)}
-        groups = {(dim, axis): [] for dim in self.closed_dims for axis in "xz"}
-        self._open_atoms: list = []
+        keys = [None] + [(dim, axis) for dim in self.closed_dims for axis in "xz"]
+        groups: dict = {key: [] for key in keys}
         for coefficient, factors in self.atoms:
             closed = [factor for factor in factors if factor[0] not in position]
             rest = tuple((position[dim], axis) for dim, axis in factors if dim in position)
-            (groups[closed[0]] if closed else self._open_atoms).append((coefficient, rest))
-        self._closed_atoms = [
-            (groups[(dim, "x")], groups[(dim, "z")]) for dim in self.closed_dims
-        ]
+            groups[closed[0] if closed else None].append((coefficient, rest))
+        self._groups = [groups[key] for key in keys]
 
     @property
     def num_dims(self) -> int:
@@ -142,16 +145,14 @@ class PlaneObjective:
 
     def value(self, angles: np.ndarray) -> float:
         """The objective at full angles, one per dimension."""
-        return float(_sum_atoms(self.constant, self.atoms, np.cos(angles), np.sin(angles)))
+        cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
+        return float(_sum_atoms(self.constant, self.atoms, cos, sin))
 
-    def _parts(self, start, cos, sin):
-        """c and each closed label's (a_l, b_l) at the open components;
-        ``start(v)`` makes a fresh accumulator holding v."""
-        c = _sum_atoms(start(self.constant), self._open_atoms, cos, sin)
-        return c, [
-            (_sum_atoms(start(0.0), x, cos, sin), _sum_atoms(start(0.0), z, cos, sin))
-            for x, z in self._closed_atoms
-        ]
+    def _parts(self, open_angles: np.ndarray) -> list[float]:
+        """c, then a_l and b_l of each closed label, at one open point."""
+        cos, sin = np.cos(open_angles).tolist(), np.sin(open_angles).tolist()
+        starts = [self.constant] + [0.0] * (len(self._groups) - 1)
+        return [_sum_atoms(v, atoms, cos, sin) for v, atoms in zip(starts, self._groups)]
 
     def grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
         """Maximum over the closed angles at every point of an open grid."""
@@ -159,26 +160,37 @@ class PlaneObjective:
             raise ContractViolationError(
                 f"expected {len(self.open_dims)} axes, got {len(axes)}"
             )
+        # The groups' atoms side by side; factors[p][k, i] is atom k's
+        # factor at point i of open axis p.
+        atoms = [atom for group in self._groups for atom in group]
+        cos, sin = [np.cos(axis) for axis in axes], [np.sin(axis) for axis in axes]
+        factors = [np.ones((len(atoms), len(axis))) for axis in axes]
+        for k, (_, rest) in enumerate(atoms):
+            for p, component in rest:
+                factors[p][k] *= cos[p] if component == "x" else sin[p]
+        left = np.ones((1, len(atoms)))
+        for factor in factors[:-1]:
+            left = (left[:, None, :] * factor.T[None, :, :]).reshape(-1, len(atoms))
+        right = np.array([coefficient for coefficient, _ in atoms])[:, None] * factors[-1]
         shape = tuple(len(axis) for axis in axes)
-        mesh = np.ix_(*axes)  # each axis shaped to broadcast along its own dim
-        cos = [np.cos(axis) for axis in mesh]
-        sin = [np.sin(axis) for axis in mesh]
-        total, closed = self._parts(lambda value: np.full(shape, value), cos, sin)
-        for a, b in closed:
+        ends = list(accumulate((len(group) for group in self._groups), initial=0))
+        parts = ((left[:, a:b] @ right[a:b]).reshape(shape) for a, b in zip(ends, ends[1:]))
+        total = self.constant + next(parts)
+        for a, b in zip(parts, parts):  # consecutive (a_l, b_l) pairs
             total += np.hypot(a, b)
         return total
 
     def best_value(self, open_angles: np.ndarray) -> float:
         """Maximum over the closed angles at one point of the open angles."""
-        total, closed = self._parts(float, np.cos(open_angles), np.sin(open_angles))
-        return float(total + sum(math.hypot(a, b) for a, b in closed))
+        c, *closed = self._parts(open_angles)
+        return float(c + sum(map(math.hypot, closed[::2], closed[1::2])))
 
     def complete(self, open_angles: np.ndarray) -> np.ndarray:
         """Full angles: the open ones given, the closed ones at their maximum."""
-        _, closed = self._parts(float, np.cos(open_angles), np.sin(open_angles))
+        closed = self._parts(open_angles)[1:]
         angles = np.zeros(self.num_dims)
         angles[list(self.open_dims)] = open_angles
-        for dim, (a, b) in zip(self.closed_dims, closed):
+        for dim, a, b in zip(self.closed_dims, closed[::2], closed[1::2]):
             angles[dim] = math.atan2(b, a)
         return angles
 
@@ -256,14 +268,21 @@ class CertificationResult:
         }
 
 
+def _wrap_angle(angle: float) -> float:
+    return angle % TWO_PI
+
+
 def _refine(
     evaluate,
     start: np.ndarray,
     start_value: float,
     initial_step: float,
     tolerance: float,
+    wrap=None,
 ) -> tuple[np.ndarray, float, int]:
-    """Shrinking coordinate search; never decreases the incumbent value."""
+    """Shrinking coordinate search; never decreases the incumbent value.
+    ``wrap[d]`` maps a moved coordinate d into its domain (default mod 2 pi)."""
+    wrap = wrap or (_wrap_angle,) * len(start)
     current = np.array(start, dtype=float)
     best = start_value
     evaluations = 0
@@ -273,7 +292,7 @@ def _refine(
         for dim in range(len(current)):
             for delta in (step, -step):
                 trial = current.copy()
-                trial[dim] = (trial[dim] + delta) % TWO_PI
+                trial[dim] = wrap[dim](trial[dim] + delta)
                 value = evaluate(trial)
                 evaluations += 1
                 if value > best:
@@ -285,6 +304,12 @@ def _refine(
     return current, best, evaluations
 
 
+def _first_maximum(grid: np.ndarray, top: float) -> tuple:
+    """Index of the grid's first point, in row order, within TIE_TOLERANCE
+    of its maximum ``top``."""
+    return np.unravel_index(int(np.argmax(grid >= top - TIE_TOLERANCE)), grid.shape)
+
+
 def _grid_maximum(
     objective: PlaneObjective, axis: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -292,7 +317,8 @@ def _grid_maximum(
 
     The grid is evaluated in slabs along its first axis of at most
     GRID_SLAB_POINTS points each (at least one row), so memory stays bounded;
-    a later slab wins only when strictly greater.
+    a later slab wins only when its maximum beats the incumbent by more than
+    TIE_TOLERANCE.
     """
     dims = len(objective.open_dims)  # at least one: states have two qubits
     rows = max(1, GRID_SLAB_POINTS // len(axis) ** (dims - 1))
@@ -300,8 +326,9 @@ def _grid_maximum(
     for first in range(0, len(axis), rows):
         axes = [axis[first : first + rows]] + [axis] * (dims - 1)
         grid = objective.grid_values(axes)
-        index = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        if grid[index] > best_value:
+        top = grid.max()
+        if top > best_value + TIE_TOLERANCE:
+            index = _first_maximum(grid, top)
             best_value = float(grid[index])
             best_angles = np.array([axes[d][index[d]] for d in range(dims)])
     return best_value, best_angles
@@ -406,12 +433,8 @@ def certify_below(
 ) -> CertificationResult:
     """Certify that the grid-plus-refinement maximum stays below a bound."""
     result = maximize(
-        expression,
-        state,
-        mode,
-        grid_step=grid_step,
-        budget=budget,
-        refine_tolerance=refine_tolerance,
+        expression, state, mode,
+        grid_step=grid_step, budget=budget, refine_tolerance=refine_tolerance,
     )
     return CertificationResult(
         certified=result.value <= bound + tolerance,
@@ -448,13 +471,8 @@ def _hardy_chain(theta, beta2):
     b1 = _unit_orthogonal(c * u, s * v)
     a2 = _unit_orthogonal(-c * b1[1], s * b1[0])  # amplitudes times b1's -1
     p1 = (a1[0] * c * a2[0] + a1[1] * s * a2[1]) ** 2
-    angles = (
-        _plus_eigenvector_angle(*a1),
-        _plus_eigenvector_angle(*b1),
-        _plus_eigenvector_angle(*a2),
-        beta2 % TWO_PI,
-    )
-    return p1, angles
+    angles = tuple(_plus_eigenvector_angle(*vector) for vector in (a1, b1, a2))
+    return p1, angles + (beta2 % TWO_PI,)
 
 
 @dataclass(frozen=True)
@@ -506,50 +524,28 @@ def hardy_maximum(
         thetas = np.array([state_angle])
     betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
 
-    # The grid has exact symmetric ties, so its winner is the first point in
-    # row order within HARDY_TIE_TOLERANCE of the maximum.
     grid, _ = _hardy_chain(thetas[:, None], betas[None, :])
-    first = np.flatnonzero(grid >= grid.max() - HARDY_TIE_TOLERANCE)[0]
-    row, column = np.unravel_index(first, grid.shape)
-    current = [float(thetas[row]), float(betas[column])]
-    best_value = float(grid[row, column])
-    evaluations = grid.size
+    row, column = _first_maximum(grid, grid.max())
+    theta, beta = float(thetas[row]), float(betas[column])
+    # The refinement moves theta, clamped to its range, and beta2, or beta2
+    # alone when the state angle is fixed.
+    if state_angle is None:
+        fixed, start = (), [theta, beta]
+        wrap = (lambda t: min(max(t, HARDY_THETA_MIN), math.pi / 4.0), _wrap_angle)
+    else:
+        fixed, start, wrap = (theta,), [beta], None
 
-    def clamp_theta(value: float) -> float:
-        return min(max(value, HARDY_THETA_MIN), math.pi / 4.0)
+    def chain(point):
+        return _hardy_chain(*fixed, *point)
 
-    step = 0.05
-    while step >= refine_tolerance:
-        improved = False
-        moves: list[tuple[int, float]] = []
-        if state_angle is None:
-            moves += [(0, step), (0, -step)]
-        moves += [(1, step), (1, -step)]
-        for dim, delta in moves:
-            trial = list(current)
-            if dim == 0:
-                trial[0] = clamp_theta(trial[0] + delta)
-            else:
-                trial[1] = (trial[1] + delta) % TWO_PI
-            value, _ = _hardy_chain(trial[0], trial[1])
-            evaluations += 1
-            if value > best_value:
-                best_value = value
-                current = trial
-                improved = True
-        if not improved:
-            step *= 0.5
-
-    theta_star, beta_star = current
-    _, angles = _hardy_chain(theta_star, beta_star)
-    angles = tuple(float(angle) for angle in angles)
-    state = states.hardy(theta_star)
+    point, _, used = _refine(
+        lambda point: chain(point)[0], start, float(grid[row, column]), 0.05,
+        refine_tolerance, wrap,
+    )
+    theta_star = float(point[0]) if state_angle is None else theta
+    angles = tuple(float(angle) for angle in chain(point)[1])
     report = run_hardy_argument(
-        state,
-        Observable.xz_plane(angles[0]),
-        Observable.xz_plane(angles[1]),
-        Observable.xz_plane(angles[2]),
-        Observable.xz_plane(angles[3]),
+        states.hardy(theta_star), *map(Observable.xz_plane, angles),
         state_name=f"hardy:{theta_star}",
     )
     assert report.ch_middle is not None
@@ -559,5 +555,5 @@ def hardy_maximum(
         value=report.ch_middle,
         hardy_probability=report.p1,
         report=report,
-        evaluations=evaluations,
+        evaluations=grid.size + used,
     )

@@ -5,7 +5,9 @@ Kronecker-product projectors and operators on the amplitude vector.  They
 share no code with the package's compiled route (Pauli correlation tensor
 and Walsh weights) and serve as its oracle.  ``scalar_hardy_*`` is the
 one-point-at-a-time Hardy chain and grid loop, the oracle of the
-broadcast search in ``bell3q.optimize``.
+broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
+``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
+its factored matrix-product grid.
 """
 import math
 from functools import reduce
@@ -158,3 +160,29 @@ def scalar_hardy_grid(thetas, betas):
             if values[i, j] > best_value:
                 best_value, winner = values[i, j], (i, j)
     return values, winner
+
+
+def broadcast_grid_values(objective, axes):
+    """``objective.grid_values(axes)`` atom by atom over an ``np.ix_`` mesh.
+
+    Splits the public atoms by their closed factor, if any, into c and each
+    closed label's a_l (cos) and b_l (sin), broadcasts every atom's open
+    factors over the grid, and returns ``c + sum_l hypot(a_l, b_l)``.
+    """
+    position = {dim: p for p, dim in enumerate(objective.open_dims)}
+    mesh = np.ix_(*axes)
+    shape = tuple(len(axis) for axis in axes)
+    c = np.full(shape, objective.constant)
+    closed = {(dim, axis): np.zeros(shape) for dim in objective.closed_dims for axis in "xz"}
+    for coefficient, factors in objective.atoms:
+        part, target = coefficient, c
+        for dim, axis in factors:
+            if dim in position:
+                points = mesh[position[dim]]
+                part = part * (np.cos(points) if axis == "x" else np.sin(points))
+            else:
+                target = closed[(dim, axis)]
+        target += part
+    for dim in objective.closed_dims:
+        c += np.hypot(closed[(dim, "x")], closed[(dim, "z")])
+    return c

@@ -15,6 +15,7 @@ observable by z, which leaves w itself invariant.  The recovered point must
 land on the four-element orbit those symmetries generate.
 """
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from bell3q import (
 )
 from bell3q.optimize import _hardy_chain
 
-from conftest import scalar_hardy_chain, scalar_hardy_grid
+from conftest import broadcast_grid_values, scalar_hardy_chain, scalar_hardy_grid
 
 MERMIN_W_MAX = 3.045956
 GOLDEN_RATIO_PROBABILITY = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
@@ -81,14 +82,14 @@ def test_mermin_ghz_symmetric_maximum():
 
 def test_chsh_singlet_free_maximum():
     result = maximize(catalog("chsh"), singlet(), "free")
-    assert result.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
+    assert result.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
     assert result.point.mode == "free"
     assert set(result.point.as_dict()) == {"q1:A", "q1:B", "q2:A", "q2:B"}
 
 
 def test_ch_singlet_free_maximum():
     result = maximize(catalog("ch"), singlet(), "free")
-    assert result.value == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-6)
+    assert result.value == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-9)
 
 
 def test_free_mode_never_loses_to_symmetric():
@@ -226,9 +227,13 @@ def _random_state(rng, num_qubits):
 
 
 def test_closed_qubit_oracle():
-    # the closed-form maximum over the closed qubit's angles against the
-    # plain objective: equal at the recovered angles, never beaten by a scan
-    # of any one closed angle, and the same on the open grid
+    # free mode: the closed-form maximum over the closed qubit's angles
+    # against the plain objective, equal at the recovered angles and never
+    # beaten by a scan of any one closed angle; both modes: the factored grid
+    # against the atom-by-atom broadcast oracle and the pointwise closed
+    # form, and under the tie rule the same winner (angles and evaluations)
+    # from maximize on either grid.  The oracle route of three-qubit free
+    # mode also takes one grid row per slab, so slabs cannot move the winner.
     rng = np.random.default_rng(5)
     states = {
         3: (w(), ghz(), _random_state(rng, 3)),
@@ -237,8 +242,32 @@ def test_closed_qubit_oracle():
     scan = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     for name in catalog_ids():
         expression = catalog(name)
-        for state in states[expression.num_qubits]:
-            objective = PlaneObjective(expression, state, "free")
+        for state, mode in product(states[expression.num_qubits], ("symmetric", "free")):
+            objective = PlaneObjective(expression, state, mode)
+            axes = [
+                np.linspace(0.0, TWO_PI, 3 + d, endpoint=False)
+                for d in range(len(objective.open_dims))
+            ]
+            grid = objective.grid_values(axes)
+            oracle = broadcast_grid_values(objective, axes)
+            assert np.max(np.abs(grid - oracle)) <= 1e-12, (name, mode)
+            for index in np.ndindex(grid.shape):
+                point = np.array([axes[d][i] for d, i in enumerate(index)])
+                assert grid[index] == pytest.approx(objective.best_value(point), abs=1e-12)
+
+            step = 0.5 if (mode, expression.num_qubits) == ("free", 3) else None
+            found = maximize(expression, state, mode, grid_step=step)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PlaneObjective, "grid_values", broadcast_grid_values)
+                if step is not None:
+                    patch.setattr("bell3q.optimize.GRID_SLAB_POINTS", 13**3)
+                expected = maximize(expression, state, mode, grid_step=step)
+            assert found.point.angles == expected.point.angles, (name, mode)
+            assert found.evaluations == expected.evaluations, (name, mode)
+
+            if mode == "symmetric":
+                assert not objective.closed_dims
+                continue
             assert objective.closed_dims
             open_angles = rng.uniform(0.0, TWO_PI, size=len(objective.open_dims))
             best = objective.best_value(open_angles)
@@ -250,11 +279,6 @@ def test_closed_qubit_oracle():
                 for t in scan:
                     trial[dim] = t
                     assert objective.value(trial) <= best + 1e-12, (name, dim)
-            axes = [np.linspace(0.0, TWO_PI, 3, endpoint=False)] * len(objective.open_dims)
-            grid = objective.grid_values(axes)
-            for index in np.ndindex(grid.shape):
-                point = np.array([axes[d][i] for d, i in enumerate(index)])
-                assert grid[index] == pytest.approx(objective.best_value(point), abs=1e-12)
 
 
 def test_hardy_chain_broadcast_matches_scalar_loop():
