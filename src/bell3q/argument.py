@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError
-from .lhv import SettingScheme, enumerate_strategies
+from .expressions import catalog
 from .qcore import (
     CONDITION_FLOOR,
     MeasurementContext,
@@ -93,6 +93,44 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
+def _report(
+    state_name: str,
+    structure: str,
+    p1: float,
+    p2: float | None,
+    p3: float | None,
+    p4: float,
+    conditionals: tuple[ConditionalCheck, ...],
+    atol: float,
+    ch_middle: float | None = None,
+) -> ArgumentReport:
+    """The chain's verdict: the checks pass when no conditional is vacuous
+    and p2 and p3 equal 1 within ``atol``; only then is p1 - p4 unexplained."""
+    vacuous = any(check.vacuous for check in conditionals)
+    checks_passed = not vacuous and abs(p2 - 1.0) <= atol and abs(p3 - 1.0) <= atol
+    return ArgumentReport(
+        state_name, structure, p1, p2, p3, p4, conditionals, checks_passed, vacuous,
+        unexplained_fraction=p1 - p4 if checks_passed else 0.0,
+        ch_middle=ch_middle,
+    )
+
+
+def _conditional(
+    description: str,
+    state: StateVector,
+    context: MeasurementContext,
+    premise: list[tuple[int, ...]],
+    joint: list[tuple[int, ...]],
+) -> ConditionalCheck:
+    """P(joint | premise) in one context; vacuous when the premise has
+    probability at most CONDITION_FLOOR."""
+    premise_probability = event_probability(state, context, premise)
+    probability = None
+    if premise_probability > CONDITION_FLOOR:
+        probability = event_probability(state, context, joint) / premise_probability
+    return ConditionalCheck(description, premise_probability, probability)
+
+
 def run_w_argument(
     state: StateVector, state_name: str = "custom", atol: float = 1e-9
 ) -> ArgumentReport:
@@ -117,60 +155,26 @@ def run_w_argument(
     )
 
     conditionals: list[ConditionalCheck] = []
-    values: dict[int, float | None] = {}
     for i, j, k in _CYCLIC:
         observables = [x, x, x]
         observables[i - 1] = z
         context = MeasurementContext(tuple(observables))
         premise = [o for o in tuples if o[i - 1] == -1]
-        premise_probability = event_probability(state, context, premise)
-        if premise_probability <= CONDITION_FLOOR:
-            value: float | None = None
-        else:
-            joint = event_probability(
-                state,
-                context,
-                [o for o in premise if o[j - 1] == o[k - 1]],
-            )
-            value = joint / premise_probability
-        values[i] = value
-        conditionals.append(
-            ConditionalCheck(
-                description=f"P(x{j} = x{k} | z{i} = -1)",
-                premise_probability=premise_probability,
-                probability=value,
-            )
-        )
+        joint = [o for o in premise if o[j - 1] == o[k - 1]]
+        description = f"P(x{j} = x{k} | z{i} = -1)"
+        conditionals.append(_conditional(description, state, context, premise, joint))
 
     xxx = MeasurementContext((x, x, x))
     p4 = event_probability(state, xxx, [(1, 1, 1), (-1, -1, -1)])
 
-    vacuous = any(value is None for value in values.values())
-    if vacuous:
-        p2 = p3 = None
-        checks_passed = False
-        unexplained = 0.0
-    else:
+    values = [check.probability for check in conditionals]
+    p2 = p3 = None
+    if None not in values:
         # Both conditional families traverse the same three conditionals,
         # one indexed by the conditioning qubit i, the other by j.
-        p2 = _mean([values[i] for i, _, _ in _CYCLIC])  # type: ignore[list-item]
-        p3 = _mean([values[j] for _, j, _ in _CYCLIC])  # type: ignore[list-item]
-        checks_passed = abs(p2 - 1.0) <= atol and abs(p3 - 1.0) <= atol
-        unexplained = p1 - p4 if checks_passed else 0.0
-
+        p2, p3 = _mean(values), _mean(values[1:] + values[:1])
     structure = W_STRUCTURE if abs(p1 - 1.0) <= atol else GHZ_STRUCTURE
-    return ArgumentReport(
-        state_name=state_name,
-        structure=structure,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p4=p4,
-        conditionals=tuple(conditionals),
-        checks_passed=checks_passed,
-        vacuous=vacuous,
-        unexplained_fraction=unexplained,
-    )
+    return _report(state_name, structure, p1, p2, p3, p4, tuple(conditionals), atol)
 
 
 def run_hardy_argument(
@@ -199,16 +203,11 @@ def run_hardy_argument(
     p1 = event_probability(state, ctx_aa, [(1, 1)])
     p4 = event_probability(state, ctx_bb, [(1, 1)])
 
-    premise_a1 = event_probability(state, ctx_ab, [(1, 1), (1, -1)])
-    if premise_a1 <= CONDITION_FLOOR:
-        p2: float | None = None
-    else:
-        p2 = event_probability(state, ctx_ab, [(1, 1)]) / premise_a1
-    premise_a2 = event_probability(state, ctx_ba, [(1, 1), (-1, 1)])
-    if premise_a2 <= CONDITION_FLOOR:
-        p3: float | None = None
-    else:
-        p3 = event_probability(state, ctx_ba, [(1, 1)]) / premise_a2
+    conditionals = (
+        _conditional("P(b2 = +1 | a1 = +1)", state, ctx_ab, [(1, 1), (1, -1)], [(1, 1)]),
+        _conditional("P(b1 = +1 | a2 = +1)", state, ctx_ba, [(1, 1), (-1, 1)], [(1, 1)]),
+    )
+    p2, p3 = (check.probability for check in conditionals)
 
     ch_middle = (
         p1
@@ -217,29 +216,8 @@ def run_hardy_argument(
         - p4
     )
 
-    conditionals = (
-        ConditionalCheck("P(b2 = +1 | a1 = +1)", premise_a1, p2),
-        ConditionalCheck("P(b1 = +1 | a2 = +1)", premise_a2, p3),
-    )
-    vacuous = p2 is None or p3 is None
-    checks_passed = (
-        not vacuous
-        and abs(p2 - 1.0) <= atol  # type: ignore[arg-type]
-        and abs(p3 - 1.0) <= atol  # type: ignore[arg-type]
-    )
-    unexplained = (p1 - p4) if checks_passed else 0.0
-    return ArgumentReport(
-        state_name=state_name,
-        structure=HARDY_STRUCTURE,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p4=p4,
-        conditionals=conditionals,
-        checks_passed=checks_passed,
-        vacuous=vacuous,
-        unexplained_fraction=unexplained,
-        ch_middle=ch_middle,
+    return _report(
+        state_name, HARDY_STRUCTURE, p1, p2, p3, p4, conditionals, atol, ch_middle
     )
 
 
@@ -249,20 +227,11 @@ def find_reality_counterexample():
 
     A strategy is constrained by the chain when its z assignment has at
     least two -1 values and, for every qubit i with z_i = -1, the other two
-    x values agree.  The chain concludes x1 = x2 = x3.  Returns the first
-    violating strategy, or None when the implication holds for all 64.
+    x values agree.  The chain concludes x1 = x2 = x3.  With A = z and
+    B = x, a strategy scores above 0 on cabello_ch exactly when it breaks the
+    chain that way, so the search is cabello_ch's exact classical maximum.
+    Returns its first maximizing strategy (labels A and B) when that maximum
+    is positive, or None when the implication holds for all 64.
     """
-    scheme = SettingScheme.uniform(3, ("z", "x"))
-    for strategy in enumerate_strategies(scheme):
-        z = [strategy.outcome(q, "z") for q in (1, 2, 3)]
-        x = [strategy.outcome(q, "x") for q in (1, 2, 3)]
-        if sum(1 for v in z if v == -1) < 2:
-            continue
-        premises_hold = all(
-            x[j - 1] == x[k - 1]
-            for i, j, k in _CYCLIC
-            if z[i - 1] == -1
-        )
-        if premises_hold and not (x[0] == x[1] == x[2]):
-            return strategy
-    return None
+    bounds = catalog("cabello_ch").bounds
+    return bounds.maximizer if bounds.upper > 0 else None

@@ -178,8 +178,8 @@ def _parse_observable(text: str) -> Observable:
 
 def _parse_binding(spec: str, scheme) -> Binding:
     """Parse ``A=z,B=x`` with per-qubit overrides such as ``q2:B=angle:1.154``."""
-    # (qubit, label) for an override, (None, label) for every qubit
-    parsed: dict[tuple[int | None, str], Observable] = {}
+    by_label: dict[str, Observable] = {}
+    overrides: dict[tuple[int, str], Observable] = {}
     for entry in filter(None, (part.strip() for part in spec.split(","))):
         target, _, observable_text = entry.partition("=")
         if not observable_text:
@@ -187,15 +187,12 @@ def _parse_binding(spec: str, scheme) -> Binding:
         qubit_text, _, label = target.partition(":") if ":" in target else ("", "", target)
         if qubit_text and not (qubit_text.startswith("q") and qubit_text[1:].isdigit()):
             raise ConfigError(f"bad qubit in {entry!r}")
-        qubit = int(qubit_text[1:]) if qubit_text else None
-        parsed[(qubit, label)] = _parse_observable(observable_text)
-    assignments: dict[tuple[int, str], Observable] = {}
-    for qubit, label in scheme.pairs():
-        observable = parsed.get((qubit, label), parsed.get((None, label)))
-        if observable is None:
-            raise ConfigError(f"no observable bound for qubit {qubit} label {label!r}")
-        assignments[(qubit, label)] = observable
-    return Binding(assignments)
+        observable = _parse_observable(observable_text)
+        if qubit_text:
+            overrides[(int(qubit_text[1:]), label)] = observable
+        else:
+            by_label[label] = observable
+    return Binding.uniform(scheme, by_label, overrides)
 
 
 def _ket(outcomes: tuple[int, ...]) -> str:
@@ -391,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    common.add_argument(
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument(
         "--tol", type=_tolerance, default=1e-9, help="comparison tolerance (default 1e-9)"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     states_parser.set_defaults(handler=_cmd_states)
 
     eval_parser = subparsers.add_parser(
-        "eval", parents=[common], help="quantum value against exact classical bounds"
+        "eval", parents=[tolerant], help="quantum value against exact classical bounds"
     )
     eval_parser.add_argument("--state", required=True)
     eval_parser.add_argument(
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_parser.set_defaults(handler=_cmd_bounds)
 
     argue_parser = subparsers.add_parser(
-        "argue", parents=[common], help="run a logical argument chain"
+        "argue", parents=[tolerant], help="run a logical argument chain"
     )
     argue_parser.add_argument("--state", required=True)
     argue_parser.add_argument(
@@ -446,7 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=optimize_mod.DEFAULT_BUDGET
     )
     optimize_parser.add_argument(
-        "--certify-below", type=float, default=None, help="certify the maximum stays below a bound"
+        "--certify-below",
+        type=float,
+        default=None,
+        help="check that the grid-plus-refinement maximum stays below a bound "
+        "(a heuristic check, not a proof)",
     )
     optimize_parser.add_argument(
         "--hardy-search",

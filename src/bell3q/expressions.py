@@ -167,22 +167,21 @@ class Binding:
 
     @classmethod
     def uniform(
-        cls, scheme: SettingScheme, by_label: Mapping[str, Observable]
+        cls,
+        scheme: SettingScheme,
+        by_label: Mapping[str, Observable],
+        overrides: Mapping[tuple[int, str], Observable] | None = None,
     ) -> "Binding":
-        """Bind the same observable to a label on every qubit."""
+        """Bind the same observable to a label on every qubit, except where
+        ``overrides`` binds that (qubit, label) pair itself."""
+        overrides = overrides or {}
         assignments: dict[tuple[int, str], Observable] = {}
         for qubit, label in scheme.pairs():
-            if label not in by_label:
-                raise ConfigError(f"no observable for label {label!r}")
-            assignments[(qubit, label)] = by_label[label]
+            observable = overrides.get((qubit, label), by_label.get(label))
+            if observable is None:
+                raise ConfigError(f"no observable bound for qubit {qubit} label {label!r}")
+            assignments[(qubit, label)] = observable
         return cls(assignments)
-
-    def with_overrides(
-        self, overrides: Mapping[tuple[int, str], Observable]
-    ) -> "Binding":
-        merged = dict(self._assignments)
-        merged.update(overrides)
-        return Binding(merged)
 
     def observable(self, qubit: int, label: str) -> Observable:
         try:
@@ -303,10 +302,6 @@ def evaluate_report(
     )
 
 
-def _uniform_scheme(num_qubits: int) -> SettingScheme:
-    return SettingScheme.uniform(num_qubits, ("A", "B"))
-
-
 def _prob(coefficient: float, labels: str, accepted: Iterable[tuple[int, ...]]) -> Term:
     return Term(coefficient, ProbabilityTerm(tuple(labels), frozenset(accepted)))
 
@@ -347,8 +342,8 @@ def _pairwise_terms(coefficient: float) -> tuple[Term, ...]:
 
 
 def _build_catalog() -> dict[str, BellExpression]:
-    three = _uniform_scheme(3)
-    two = _uniform_scheme(2)
+    three = SettingScheme.uniform(3)
+    two = SettingScheme.uniform(2)
     catalog: dict[str, BellExpression] = {}
 
     catalog["cabello_ch"] = BellExpression(

@@ -44,6 +44,7 @@ SYMMETRIC_GRID_STEP = 0.02
 FREE_GRID_STEP = 0.1
 DEFAULT_BUDGET = 10**8
 REFINE_TOLERANCE = 1e-6
+CERTIFY_TOLERANCE = 1e-6
 GRID_SLAB_POINTS = 2**20
 HARDY_THETA_MIN = 1e-6
 TIE_TOLERANCE = 1e-12
@@ -216,16 +217,10 @@ class AnglePoint:
         )
 
     def binding(self, scheme) -> Binding:
-        mapping = {}
+        observables = {dim: Observable.xz_plane(a) for dim, a in zip(self.dims, self.angles)}
         if self.mode == "symmetric":
-            by_label = dict(zip(self.dims, self.angles))
-            for qubit, label in scheme.pairs():
-                if label in by_label:
-                    mapping[(qubit, label)] = Observable.xz_plane(by_label[label])
-        else:
-            for pair, angle in zip(self.dims, self.angles):
-                mapping[pair] = Observable.xz_plane(angle)
-        return Binding(mapping)
+            return Binding.uniform(scheme, observables)
+        return Binding(observables)
 
     def as_dict(self) -> dict[str, float]:
         keys = [
@@ -277,7 +272,6 @@ def _refine(
     start: np.ndarray,
     start_value: float,
     initial_step: float,
-    tolerance: float,
     wrap=None,
 ) -> tuple[np.ndarray, float, int]:
     """Shrinking coordinate search; never decreases the incumbent value.
@@ -287,7 +281,7 @@ def _refine(
     best = start_value
     evaluations = 0
     step = initial_step
-    while step >= tolerance:
+    while step >= REFINE_TOLERANCE:
         improved = False
         for dim in range(len(current)):
             for delta in (step, -step):
@@ -341,13 +335,12 @@ def maximize(
     *,
     grid_step: float | None = None,
     budget: int = DEFAULT_BUDGET,
-    refine_tolerance: float = REFINE_TOLERANCE,
 ) -> OptimizationResult:
     """Maximize an expression over x-z plane angles.
 
     An exhaustive coarse grid (default step 0.02 rad in symmetric mode,
     0.1 rad in free mode) locates the basin; a shrinking coordinate search
-    refines it below ``refine_tolerance``.  Free mode closes one qubit's
+    refines it below ``REFINE_TOLERANCE``.  Free mode closes one qubit's
     angles exactly (see the module docstring): its grid and refinement run
     over the other qubits' angles only, and the closed angles of the result
     come from ``atan2``.  There ``grid_value`` is the best grid point's
@@ -355,16 +348,15 @@ def maximize(
     ``evaluations`` counts such evaluations of the open angles.  Free mode
     additionally warm starts from the symmetric optimum, so the free result
     is never worse than the symmetric one.  Raises ConfigError for a grid
-    step or refine tolerance that is not positive and finite or a budget
-    below 1, and BudgetExceededError when the grid would need more than
-    ``budget`` evaluations.
+    step that is not positive and finite or a budget below 1, and
+    BudgetExceededError when the grid would need more than ``budget``
+    evaluations.
     """
     step = grid_step if grid_step is not None else (
         SYMMETRIC_GRID_STEP if mode == "symmetric" else FREE_GRID_STEP
     )
-    for name, value in (("grid step", step), ("refine tolerance", refine_tolerance)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"grid step must be positive and finite, got {step!r}")
     if not budget >= 1:
         raise ConfigError(f"budget must be at least 1, got {budget!r}")
     objective = PlaneObjective(expression, state, mode)
@@ -387,13 +379,7 @@ def maximize(
 
     candidates = [(grid_value, grid_angles, step)]
     if mode == "free":
-        symmetric = maximize(
-            expression,
-            state,
-            "symmetric",
-            budget=budget,
-            refine_tolerance=refine_tolerance,
-        )
+        symmetric = maximize(expression, state, "symmetric", budget=budget)
         by_label = dict(zip(symmetric.point.dims, symmetric.point.angles))
         embedded = np.array([by_label[objective.dims[d][1]] for d in objective.open_dims])
         start_value = objective.best_value(embedded)
@@ -402,9 +388,7 @@ def maximize(
 
     best_angles, best_value = None, -math.inf
     for start_value, start, start_step in candidates:
-        refined, value, used = _refine(
-            objective.best_value, start, start_value, start_step, refine_tolerance
-        )
+        refined, value, used = _refine(objective.best_value, start, start_value, start_step)
         evaluations += used
         if value > best_value:
             best_value, best_angles = value, refined
@@ -425,19 +409,18 @@ def certify_below(
     state: StateVector,
     bound: float,
     mode: str = "symmetric",
-    *,
-    grid_step: float | None = None,
-    budget: int = DEFAULT_BUDGET,
-    refine_tolerance: float = REFINE_TOLERANCE,
-    tolerance: float = 1e-6,
+    **options,
 ) -> CertificationResult:
-    """Certify that the grid-plus-refinement maximum stays below a bound."""
-    result = maximize(
-        expression, state, mode,
-        grid_step=grid_step, budget=budget, refine_tolerance=refine_tolerance,
-    )
+    """Check that the maximum ``maximize`` finds stays below ``bound`` within
+    CERTIFY_TOLERANCE; ``options`` go to ``maximize``.
+
+    The check reads the grid-plus-refinement maximum, a heuristic: a
+    ``certified`` result is evidence, not a proof, that no angles exceed the
+    bound.
+    """
+    result = maximize(expression, state, mode, **options)
     return CertificationResult(
-        certified=result.value <= bound + tolerance,
+        certified=result.value <= bound + CERTIFY_TOLERANCE,
         bound=bound,
         maximum=result,
     )
@@ -495,11 +478,7 @@ class HardyOptimum:
         }
 
 
-def hardy_maximum(
-    *,
-    state_angle: float | None = None,
-    refine_tolerance: float = REFINE_TOLERANCE,
-) -> HardyOptimum:
+def hardy_maximum(*, state_angle: float | None = None) -> HardyOptimum:
     """Maximize the sometimes-always-never chain's first probability.
 
     Searches jointly over the state angle in [1e-6, pi/4] and the observable
@@ -539,8 +518,7 @@ def hardy_maximum(
         return _hardy_chain(*fixed, *point)
 
     point, _, used = _refine(
-        lambda point: chain(point)[0], start, float(grid[row, column]), 0.05,
-        refine_tolerance, wrap,
+        lambda point: chain(point)[0], start, float(grid[row, column]), 0.05, wrap
     )
     theta_star = float(point[0]) if state_angle is None else theta
     angles = tuple(float(angle) for angle in chain(point)[1])

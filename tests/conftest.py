@@ -7,7 +7,9 @@ and Walsh weights) and serve as its oracle.  ``scalar_hardy_*`` is the
 one-point-at-a-time Hardy chain and grid loop, the oracle of the
 broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
 ``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
-its factored matrix-product grid.
+its factored matrix-product grid.  ``loop_reality_counterexample`` checks
+the three-qubit chain on each of the 64 z/x strategies in turn, the oracle
+of ``find_reality_counterexample``'s exact-bounds route.
 """
 import math
 from functools import reduce
@@ -20,7 +22,9 @@ from bell3q import (
     CorrelatorTerm,
     MeasurementContext,
     Observable,
+    SettingScheme,
     StateVector,
+    enumerate_strategies,
     ghz,
     outcome_tuples,
     singlet,
@@ -186,3 +190,26 @@ def broadcast_grid_values(objective, axes):
     for dim in objective.closed_dims:
         c += np.hypot(closed[(dim, "x")], closed[(dim, "z")])
     return c
+
+
+CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def breaks_reality_chain(strategy, labels=("z", "x"), premises=CYCLIC):
+    """Whether one deterministic strategy meets the three-qubit chain's
+    premises yet breaks its conclusion: at least two z = -1, x_j = x_k for
+    every (i, j, k) in ``premises`` with z_i = -1, and not x1 = x2 = x3.
+    ``labels`` names the z and the x setting."""
+    z_label, x_label = labels
+    z = [strategy.outcome(q, z_label) for q in (1, 2, 3)]
+    x = [strategy.outcome(q, x_label) for q in (1, 2, 3)]
+    if sum(1 for v in z if v == -1) < 2:
+        return False
+    premises_hold = all(x[j - 1] == x[k - 1] for i, j, k in premises if z[i - 1] == -1)
+    return premises_hold and not (x[0] == x[1] == x[2])
+
+
+def loop_reality_counterexample():
+    """The first of the 64 z/x strategies that breaks the chain, or None."""
+    strategies = enumerate_strategies(SettingScheme.uniform(3, ("z", "x")))
+    return next((s for s in strategies if breaks_reality_chain(s)), None)

@@ -19,6 +19,8 @@ from bell3q import (
     ContractViolationError,
     Observable,
     StateVector,
+    catalog,
+    enumerate_strategies,
     find_reality_counterexample,
     ghz,
     hardy,
@@ -27,10 +29,11 @@ from bell3q import (
     run_hardy_argument,
     run_w_argument,
     singlet,
+    strategy_value,
     w,
 )
 
-from conftest import basis_state
+from conftest import CYCLIC, basis_state, breaks_reality_chain, loop_reality_counterexample
 
 GOLDEN_RATIO_PROBABILITY = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 
@@ -112,6 +115,28 @@ def test_w_argument_rejects_two_qubits():
 
 def test_reality_counterexample_absent():
     assert find_reality_counterexample() is None
+    assert loop_reality_counterexample() is None
+
+
+@pytest.mark.parametrize(
+    "name, premises, hits",
+    [("cabello_ch", CYCLIC, 0), ("cabello_ch_literal", CYCLIC[:2], 4)],
+)
+def test_positive_cabello_value_is_a_chain_counterexample(name, premises, hits):
+    # with A = z and B = x a strategy scores above 0 exactly when it breaks
+    # the chain built from the premises its mismatch terms encode; the
+    # literal form drops the third, so there the exact maximum is the loop's
+    # first hit
+    expression = catalog(name)
+    broken = []
+    for strategy in enumerate_strategies(expression.scheme):
+        breaks = breaks_reality_chain(strategy, ("A", "B"), premises)
+        assert (strategy_value(expression, strategy) > 0) == breaks
+        if breaks:
+            broken.append(strategy)
+    assert len(broken) == hits
+    if broken:
+        assert expression.bounds.maximizer == broken[0]
 
 
 def test_reality_search_logic_on_modified_conclusion():

@@ -273,6 +273,12 @@ def test_bad_binding_diagnostics(capsys):
         capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z"
     )
     assert code == 2
+    assert "no observable bound for qubit 1 label 'B'" in err
+    code, out, err = run_cli(
+        capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,q1:B=x,q2:B=y"
+    )
+    assert code == 2
+    assert "no observable bound for qubit 3 label 'B'" in err
     code, out, err = run_cli(
         capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=spin"
     )
@@ -348,6 +354,21 @@ def test_non_finite_and_out_of_range_numbers_are_refused(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert "error" in err
+
+
+_IGNORING_TOL = [
+    ["states"],
+    ["bounds", "--expr", "mermin"],
+    ["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "4.0"],
+]
+
+
+@pytest.mark.parametrize("argv", _IGNORING_TOL, ids=[argv[0] for argv in _IGNORING_TOL])
+def test_tol_is_refused_where_it_is_not_read(capsys, argv):
+    # only eval and argue compare against --tol; elsewhere it is an error
+    got, out, err = run_cli(capsys, *argv, "--tol", "0.5")
+    assert (got, out) == (2, "")
+    assert "unrecognized arguments: --tol 0.5" in err
 
 
 def test_non_finite_state_file_is_refused(tmp_path, capsys):

@@ -174,16 +174,29 @@ def test_binding_uniform_and_overrides():
     scheme = SettingScheme.uniform(3)
     binding = zx_binding(scheme)
     assert binding.observable(2, "A").direction == (0.0, 0.0, 1.0)
-    replaced = binding.with_overrides({(2, "B"): Observable.y()})
+    replaced = Binding.uniform(
+        scheme, {"A": Observable.z(), "B": Observable.x()}, {(2, "B"): Observable.y()}
+    )
     assert replaced.observable(2, "B").direction == (0.0, 1.0, 0.0)
     assert replaced.observable(1, "B").direction == (1.0, 0.0, 0.0)
     keys = list(replaced.as_dict())
     assert keys == ["q1:A", "q1:B", "q2:A", "q2:B", "q3:A", "q3:B"]
 
 
+def test_binding_label_bound_only_through_overrides():
+    scheme = SettingScheme.uniform(2)
+    overrides = {(1, "B"): Observable.x(), (2, "B"): Observable.y()}
+    binding = Binding.uniform(scheme, {"A": Observable.z()}, overrides)
+    assert binding.observable(1, "B").direction == (1.0, 0.0, 0.0)
+    assert binding.observable(2, "B").direction == (0.0, 1.0, 0.0)
+    assert binding.observable(2, "A").direction == (0.0, 0.0, 1.0)
+    with pytest.raises(ConfigError, match="no observable bound for qubit 2 label 'B'"):
+        Binding.uniform(scheme, {"A": Observable.z()}, {(1, "B"): Observable.x()})
+
+
 def test_binding_missing_assignment():
     scheme = SettingScheme.uniform(2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="no observable bound for qubit 1 label 'B'"):
         Binding.uniform(scheme, {"A": Observable.z()})
     partial = Binding({(1, "A"): Observable.z()})
     with pytest.raises(ContractViolationError):
@@ -305,7 +318,7 @@ def test_probability_terms_are_basis_independent_of_rest():
     expression = catalog("cabello_ch")
     state = w()
     base = zx_binding(expression.scheme)
-    tweaked = base.with_overrides({})
+    tweaked = Binding(dict(base.items()))
     assert quantum_value(expression, state, tweaked) == pytest.approx(
         quantum_value(expression, state, base), abs=0.0
     )
