@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument(
         "--bind",
         required=True,
-        help="label=observable pairs, e.g. A=z,B=x or q2:B=angle:1.154",
+        help="label=observable pairs, e.g. A=z,B=x or q2:B=angle:1.154; "
+        "every entry must name a label of the expression",
     )
     eval_parser.set_defaults(handler=_cmd_eval)
 

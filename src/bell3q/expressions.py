@@ -5,6 +5,12 @@ Each expression carries its own setting scheme.  Catalog entries use labels
 from binding ``A`` to the z observable and ``B`` to the x observable unless
 stated otherwise.
 
+Quantum values come from one ``correlation_table`` per expression, state
+and binding, holding the correlator of every choice of identity or one
+bound label per qubit.  ``BellExpression.compiled`` lays each term's Walsh
+weights out on that table, so every term is one row of a single
+matrix-vector product.
+
 Catalog ids
 -----------
 ``cabello_ch``
@@ -50,15 +56,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import ConfigError, ContractViolationError, ExpressionFormatError
 from .lhv import ClassicalBounds, DeterministicStrategy, SettingScheme, classical_bounds
-from .qcore import (
-    MeasurementContext,
-    Observable,
-    StateVector,
-    WalshForm,
-    correlation_table,
-)
+from .qcore import Observable, StateVector, WalshForm, correlation_table
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -153,6 +155,27 @@ class BellExpression:
         """The exact classical range, enumerated on first use."""
         return classical_bounds(self)
 
+    @cached_property
+    def compiled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every term's Walsh weights on the flattened ``correlation_table``
+        of all the scheme's labels (terms x table entries, integer valued),
+        and each term's denominator; built on first use."""
+        scheme_labels = self.scheme.labels_per_qubit
+        shape = tuple(1 + len(labels) for labels in scheme_labels)
+        weights = np.zeros((len(self.terms), int(np.prod(shape))))
+        for row, term in zip(weights, self.terms):
+            labels = term.payload.labels
+            for subset, weight in term.payload.walsh.weights:
+                index = tuple(
+                    1 + scheme_labels[q - 1].index(labels[q - 1]) if q in subset else 0
+                    for q in range(1, len(shape) + 1)
+                )
+                row[np.ravel_multi_index(index, shape)] = weight
+        denominators = np.array([float(term.payload.walsh.denominator) for term in self.terms])
+        weights.setflags(write=False)
+        denominators.setflags(write=False)
+        return weights, denominators
+
 
 class Binding:
     """Assignment of one observable to every (qubit, label) pair."""
@@ -173,10 +196,19 @@ class Binding:
         overrides: Mapping[tuple[int, str], Observable] | None = None,
     ) -> "Binding":
         """Bind the same observable to a label on every qubit, except where
-        ``overrides`` binds that (qubit, label) pair itself."""
+        ``overrides`` binds that (qubit, label) pair itself.  A label or
+        override that names no (qubit, label) pair of the scheme is refused."""
         overrides = overrides or {}
+        pairs = scheme.pairs()
+        labels = {label for _, label in pairs}
+        unmatched = [label for label in by_label if label not in labels]
+        unmatched += [f"q{qubit}:{label}" for qubit, label in overrides if (qubit, label) not in pairs]
+        if unmatched:
+            raise ConfigError(
+                f"binding entries match no qubit and label of the expression: {', '.join(unmatched)}"
+            )
         assignments: dict[tuple[int, str], Observable] = {}
-        for qubit, label in scheme.pairs():
+        for qubit, label in pairs:
             observable = overrides.get((qubit, label), by_label.get(label))
             if observable is None:
                 raise ConfigError(f"no observable bound for qubit {qubit} label {label!r}")
@@ -201,33 +233,24 @@ class Binding:
         }
 
 
-def _context_for(
-    expression: BellExpression, binding: Binding, labels: tuple[str, ...]
-) -> MeasurementContext:
-    return MeasurementContext(
-        tuple(
-            binding.observable(qubit, labels[qubit - 1])
-            for qubit in range(1, expression.num_qubits + 1)
-        )
-    )
-
-
-def term_value(
-    expression: BellExpression, term: Term, state: StateVector, binding: Binding
-) -> float:
-    """Quantum value of a single term, without its coefficient."""
-    context = _context_for(expression, binding, term.payload.labels)
-    return term.payload.walsh.value(correlation_table(state, context))
-
-
 def term_breakdown(
     expression: BellExpression, state: StateVector, binding: Binding
 ) -> tuple[tuple[Term, float], ...]:
-    """Per-term quantum values (without coefficients), in expression order."""
-    return tuple(
-        (term, term_value(expression, term, state, binding))
-        for term in expression.terms
-    )
+    """Per-term quantum values (without coefficients), in expression order:
+    one ``correlation_table`` with every label's observable, read by the
+    compiled weights."""
+    if state.num_qubits != expression.num_qubits:
+        raise ContractViolationError(
+            f"{expression.num_qubits}-qubit expression applied to a "
+            f"{state.num_qubits}-qubit state"
+        )
+    observables = [
+        tuple(binding.observable(qubit, label) for label in labels)
+        for qubit, labels in enumerate(expression.scheme.labels_per_qubit, start=1)
+    ]
+    weights, denominators = expression.compiled
+    values = weights @ correlation_table(state, observables).reshape(-1) / denominators
+    return tuple(zip(expression.terms, values.tolist()))
 
 
 def _combine(breakdown: tuple[tuple[Term, float], ...]) -> float:

@@ -14,10 +14,13 @@ Conventions used throughout the package:
 
 Every quantum value goes through one compiled form: a state's Pauli
 correlation tensor, built on first use, contracted per qubit with
-``(1, 0, 0, 0)`` or ``(0, n)`` gives the correlator of every qubit subset
-(``correlation_table``).  Probabilities expand into those correlators
-through ``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight
-of each subset, which ``lhv`` and ``optimize`` read as well.
+``(1, 0, 0, 0)`` and one ``(0, n)`` row per observable gives the correlator
+of every choice of identity or one observable per qubit
+(``correlation_table``): every label's observable at once for an
+expression under a binding, one per qubit for a measurement context.
+Probabilities expand into those correlators through
+``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight of each
+subset, which ``expressions``, ``lhv`` and ``optimize`` read.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, UndefinedConditionalError
+from .errors import ContractViolationError
 
 NORM_ATOL = 1e-9
 CONDITION_FLOOR = 1e-12
@@ -159,10 +162,6 @@ class MeasurementContext:
             if not isinstance(obs, Observable):
                 raise ContractViolationError(f"not an observable: {obs!r}")
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.observables)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -191,14 +190,6 @@ class DensityMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-def _check_context(state: StateVector, context: MeasurementContext) -> None:
-    if context.num_qubits != state.num_qubits:
-        raise ContractViolationError(
-            f"context has {context.num_qubits} observables for a "
-            f"{state.num_qubits}-qubit state"
-        )
 
 
 def _check_outcomes(num_qubits: int, outcomes: Sequence[int]) -> tuple[int, ...]:
@@ -275,21 +266,30 @@ class WalshForm:
         return _walsh_hadamard(dense)
 
 
-def correlation_table(state: StateVector, context: MeasurementContext) -> np.ndarray:
-    """Correlators of every qubit subset, shape ``(2,) * n``.
+def correlation_table(
+    state: StateVector, observables: Sequence[Sequence[Observable]]
+) -> np.ndarray:
+    """Correlators of every choice of identity or one observable per qubit,
+    shape ``(1 + L_1, ..., 1 + L_n)`` for ``L_q`` observables on qubit ``q``.
 
-    Entry ``[b1, ..., bn]`` is the expectation of the product of the context
-    observables on the qubits with ``b_q = 1``: the Pauli correlation tensor
-    contracted with ``(1, 0, 0, 0)`` or ``(0, n_q)`` on each qubit.
+    Index 0 on an axis is the identity and index ``k`` the ``k``-th
+    observable, so entry ``[k1, ..., kn]`` is the expectation of the product
+    of the chosen observables: the Pauli correlation tensor contracted on
+    each qubit with ``(1, 0, 0, 0)`` and one ``(0, n)`` row per observable.
+    With one observable per qubit the shape is ``(2,) * n``.
     """
-    _check_context(state, context)
+    if len(observables) != state.num_qubits:
+        raise ContractViolationError(
+            f"observables for {len(observables)} qubits given for a "
+            f"{state.num_qubits}-qubit state"
+        )
     table = state.pauli_tensor
-    for observable in context.observables:
-        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *observable.direction]])
+    for per_qubit in observables:
+        rows = np.array([(1.0, 0.0, 0.0, 0.0), *((0.0, *o.direction) for o in per_qubit)])
         # contract the leading axis; the new one goes last, so after every
         # qubit the axes are back in order
         table = (rows @ table.reshape(4, -1)).T
-    return table.reshape((2,) * state.num_qubits)
+    return table.reshape(tuple(1 + len(per_qubit) for per_qubit in observables))
 
 
 def outcome_probability(
@@ -307,33 +307,8 @@ def event_probability(
 ) -> float:
     """Probability that the joint outcome falls in a set of tuples."""
     unique = {_check_outcomes(state.num_qubits, o) for o in accepted}
-    return WalshForm.of_event(unique, state.num_qubits).value(
-        correlation_table(state, context)
-    )
-
-
-def conditional_probability(
-    state: StateVector,
-    context: MeasurementContext,
-    accepted: Iterable[Sequence[int]],
-    given: Iterable[Sequence[int]],
-) -> float:
-    """P(accepted | given) for two events in the same context.
-
-    Raises
-    ------
-    UndefinedConditionalError
-        If the conditioning event has probability below 1e-12.
-    """
-    accepted_set = {_check_outcomes(state.num_qubits, o) for o in accepted}
-    given_set = {_check_outcomes(state.num_qubits, o) for o in given}
-    given_probability = event_probability(state, context, given_set)
-    if given_probability <= CONDITION_FLOOR:
-        raise UndefinedConditionalError(
-            f"conditioning event has probability {given_probability!r}"
-        )
-    joint = event_probability(state, context, accepted_set & given_set)
-    return joint / given_probability
+    table = correlation_table(state, [(o,) for o in context.observables])
+    return WalshForm.of_event(unique, state.num_qubits).value(table)
 
 
 def correlator(
@@ -358,7 +333,7 @@ def correlator(
     for q in qubits:
         if not 1 <= q <= state.num_qubits:
             raise ContractViolationError(f"qubit index {q} out of range")
-    table = correlation_table(state, context)
+    table = correlation_table(state, [(o,) for o in context.observables])
     return float(table.reshape(-1)[_subsets(state.num_qubits)[qubits]])
 
 

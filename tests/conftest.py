@@ -10,6 +10,8 @@ broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
 its factored matrix-product grid.  ``loop_reality_counterexample`` checks
 the three-qubit chain on each of the 64 z/x strategies in turn, the oracle
 of ``find_reality_counterexample``'s exact-bounds route.
+``conditional_probability`` is the raising form of the conditional rule,
+which the package expresses once, as ``argument``'s vacuous-premise check.
 """
 import math
 from functools import reduce
@@ -24,12 +26,15 @@ from bell3q import (
     Observable,
     SettingScheme,
     StateVector,
+    UndefinedConditionalError,
     enumerate_strategies,
+    event_probability,
     ghz,
     outcome_tuples,
     singlet,
     w,
 )
+from bell3q.qcore import CONDITION_FLOOR
 
 PAULI_I = np.eye(2, dtype=complex)
 
@@ -95,6 +100,19 @@ def kron_term_value(state, binding, term):
     if isinstance(payload, CorrelatorTerm):
         return kron_correlator(state, context, payload.subset)
     return sum(kron_outcome_probability(state, context, o) for o in payload.accepted)
+
+
+def conditional_probability(state, context, accepted, given):
+    """P(accepted | given) for two events in the same context; raises
+    UndefinedConditionalError when P(given) is at most CONDITION_FLOOR."""
+    accepted_set = {tuple(o) for o in accepted}
+    given_set = {tuple(o) for o in given}
+    given_probability = event_probability(state, context, given_set)
+    if given_probability <= CONDITION_FLOOR:
+        raise UndefinedConditionalError(
+            f"conditioning event has probability {given_probability!r}"
+        )
+    return event_probability(state, context, accepted_set & given_set) / given_probability
 
 
 def brute_force_correlator(state, context, subset):

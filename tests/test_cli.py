@@ -280,6 +280,16 @@ def test_bad_binding_diagnostics(capsys):
     assert code == 2
     assert "no observable bound for qubit 3 label 'B'" in err
     code, out, err = run_cli(
+        capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=x,q2:b=y,q7:A=y"
+    )
+    assert (code, out) == (2, "")
+    assert "match no qubit and label of the expression: q2:b, q7:A" in err
+    code, out, err = run_cli(
+        capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=x,C=y"
+    )
+    assert (code, out) == (2, "")
+    assert "match no qubit and label of the expression: C" in err
+    code, out, err = run_cli(
         capsys, "eval", "--state", "w", "--expr", "mermin", "--bind", "A=z,B=spin"
     )
     assert code == 2
@@ -409,18 +419,21 @@ def test_closed_pipe_ends_quietly():
 
 
 def test_eval_evaluates_each_term_once(monkeypatch, capsys):
+    # every term of one eval is read from a single contraction
     calls = []
-    original = bell3q.expressions.term_value
+    original = bell3q.expressions.correlation_table
 
     def counting(*args):
         calls.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(bell3q.expressions, "term_value", counting)
+    monkeypatch.setattr(bell3q.expressions, "correlation_table", counting)
     payload = run_json(
         capsys, "eval", "--state", "ghz", "--expr", "cabello_ch", "--bind", "A=z,B=x"
     )
-    assert len(calls) == len(payload["result"]["terms"]) == 5
+    assert len(payload["result"]["terms"]) == 5
+    assert len(calls) == 1
+    assert [len(per_qubit) for per_qubit in calls[0]] == [2, 2, 2]
 
 
 _NUMBERS = st.one_of(

@@ -1,7 +1,8 @@
 """The compiled form against independent routes.
 
-Quantum values from the Pauli correlation tensor and Walsh weights are
-checked against the kron oracle in ``conftest``, and the vectorized exact
+Quantum values from the Pauli correlation tensor and Walsh weights (one
+correlation table per expression, state and binding) are checked against
+the kron oracle in ``conftest``, and the vectorized exact
 bounds against the pure-python ``strategy_value`` loop, bit for bit,
 witnesses included.  The x-z plane objective is checked against
 ``quantum_value`` in ``test_optimize``.
@@ -31,6 +32,7 @@ from bell3q import (
     classical_bounds,
     correlator,
     enumerate_strategies,
+    evaluate_report,
     event_probability,
     ghz,
     hardy,
@@ -43,7 +45,7 @@ from bell3q import (
     term_breakdown,
     w,
 )
-from bell3q.qcore import WalshForm
+from bell3q.qcore import WalshForm, correlation_table
 
 from conftest import kron_correlator, kron_outcome_probability, kron_term_value, make_context
 
@@ -79,6 +81,19 @@ def _bindings(scheme, rng):
     return bindings
 
 
+def _assert_matches_the_kron_oracle(expression, state, binding):
+    """``term_breakdown``, ``quantum_value`` and ``evaluate_report`` against
+    the kron route, term by term."""
+    expected = [kron_term_value(state, binding, term) for term in expression.terms]
+    total = sum(term.coefficient * value for term, value in zip(expression.terms, expected))
+    report = evaluate_report(expression, state, binding)
+    for breakdown in (term_breakdown(expression, state, binding), report.terms):
+        assert [term for term, _ in breakdown] == list(expression.terms)
+        assert [value for _, value in breakdown] == pytest.approx(expected, abs=1e-12)
+    assert quantum_value(expression, state, binding) == pytest.approx(total, abs=1e-12)
+    assert report.quantum_value == pytest.approx(total, abs=1e-12)
+
+
 def test_term_values_match_the_kron_oracle():
     rng = np.random.default_rng(2001)
     cases = 0
@@ -86,12 +101,48 @@ def test_term_values_match_the_kron_oracle():
         expression = catalog(name)
         for state in _states(expression.num_qubits, rng).values():
             for binding in _bindings(expression.scheme, rng).values():
-                for term, value in term_breakdown(expression, state, binding):
-                    assert value == pytest.approx(
-                        kron_term_value(state, binding, term), abs=1e-12
-                    ), name
+                _assert_matches_the_kron_oracle(expression, state, binding)
                 cases += 1
     assert cases == 8 * 3 * 4
+
+
+_UNEVEN = """
+0.5 CORR q1:A q2:A q3:A SUBSET=1,2,3
+-1 CORR q1:C q2:A q3:B SUBSET=1,3
+2 CORR q1:B q2:A q3:A SUBSET=2
+-0.25 PROB q1:C q2:A q3:B ACCEPT=+-+,---
+1 PROB q1:B q2:A q3:A ACCEPT=++-
+0.75 PROB q1:A q2:A q3:B ACCEPT=+++,++-,-+-,--+,---
+"""
+
+
+def test_uneven_labels_and_overrides_match_the_kron_oracle():
+    expression = parse_expression_text(_UNEVEN)
+    assert expression.scheme.labels_per_qubit == (("A", "C", "B"), ("A",), ("A", "B"))
+    rng = np.random.default_rng(2002)
+    z, x, y = Observable.z(), Observable.x(), Observable.y()
+    overrides = {(1, "C"): _random_observable(rng), (3, "B"): y, (3, "A"): x}
+    bindings = [
+        Binding.uniform(expression.scheme, {"A": z, "B": x, "C": y}, overrides),
+        Binding({pair: _random_observable(rng) for pair in expression.scheme.pairs()}),
+    ]
+    for state in _states(3, rng).values():
+        for binding in bindings:
+            _assert_matches_the_kron_oracle(expression, state, binding)
+
+
+def test_correlation_table_holds_every_label_choice():
+    rng = np.random.default_rng(2003)
+    state = _random_state(rng, 3)
+    observables = [tuple(_random_observable(rng) for _ in range(k)) for k in (3, 1, 2)]
+    table = correlation_table(state, observables)
+    assert table.shape == (4, 2, 3)
+    for index in product(range(4), range(2), range(3)):
+        # index 0 is the identity: the z placeholder stays outside the subset
+        chosen = [per_qubit[k - 1] if k else Observable.z() for per_qubit, k in zip(observables, index)]
+        subset = {q for q, k in enumerate(index, start=1) if k}
+        expected = kron_correlator(state, make_context(*chosen), subset) if subset else 1.0
+        assert table[index] == pytest.approx(expected, abs=1e-12)
 
 
 def test_qcore_primitives_match_the_kron_oracle():
@@ -137,23 +188,30 @@ def test_compiled_once_and_lazily():
     state = singlet()
     assert all("walsh" not in vars(term.payload) for term in expression.terms)
     assert "pauli_tensor" not in vars(state)
+    assert "compiled" not in vars(expression)
     binding = Binding.uniform(expression.scheme, {"A": Observable.z(), "B": Observable.x()})
     quantum_value(expression, state, binding)
     forms = [term.payload.walsh for term in expression.terms]
     tensor = state.pauli_tensor
+    weights, denominators = compiled = expression.compiled
+    # table entries (1 + 1) x (1 + 2): the constant, q2:A, q2:B, q1:A, ...
+    assert weights.tolist() == [[0, 0, 0, 0, 1, 0], [1, 0, -1, 1, 0, -1]]
+    assert denominators.tolist() == [1, 4]
     classical_bounds(expression)
     PlaneObjective(expression, state, "free")
     quantum_value(expression, state, binding)
     assert [term.payload.walsh for term in expression.terms] == forms
     assert all(a is b for a, b in zip(forms, (t.payload.walsh for t in expression.terms)))
     assert state.pauli_tensor is tensor
-    assert not tensor.flags.writeable
+    assert expression.compiled is compiled
+    assert not any(array.flags.writeable for array in (tensor, weights, denominators))
 
 
 def test_import_compiles_nothing():
     probe = (
         "import bell3q, bell3q.expressions as e; "
-        "print(sum('walsh' in vars(t.payload) for x in e._CATALOG.values() for t in x.terms))"
+        "print(sum('walsh' in vars(t.payload) for x in e._CATALOG.values() for t in x.terms)"
+        " + sum('compiled' in vars(x) for x in e._CATALOG.values()))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
@@ -183,8 +241,8 @@ _COEFFICIENTS = st.one_of(
 
 
 @st.composite
-def mixed_expressions(draw):
-    num_qubits = draw(st.integers(2, 4))
+def mixed_expressions(draw, max_qubits=4):
+    num_qubits = draw(st.integers(2, max_qubits))
     labels = tuple(
         tuple("ABC"[: draw(st.integers(1, min(3, 8 // num_qubits)))])
         for _ in range(num_qubits)
@@ -206,6 +264,16 @@ def mixed_expressions(draw):
 @given(expression=mixed_expressions())
 def test_bounds_match_the_strategy_loop_bit_for_bit(expression):
     _assert_bounds_match_the_loop(expression)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_expressions_match_the_kron_oracle(data):
+    expression = data.draw(mixed_expressions(max_qubits=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = _random_state(rng, expression.num_qubits)
+    binding = Binding({pair: _random_observable(rng) for pair in expression.scheme.pairs()})
+    _assert_matches_the_kron_oracle(expression, state, binding)
 
 
 def test_bounds_stay_exact_on_seven_qubits():

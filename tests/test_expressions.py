@@ -194,6 +194,20 @@ def test_binding_label_bound_only_through_overrides():
         Binding.uniform(scheme, {"A": Observable.z()}, {(1, "B"): Observable.x()})
 
 
+def test_binding_refuses_entries_that_match_no_pair():
+    scheme = SettingScheme((("A", "B"), ("A",)))
+    zx = {"A": Observable.z(), "B": Observable.x()}
+    with pytest.raises(ConfigError, match="expression: C$"):
+        Binding.uniform(scheme, {**zx, "C": Observable.y()})
+    overrides = {(2, "B"): Observable.y(), (1, "b"): Observable.y(), (3, "A"): Observable.y()}
+    with pytest.raises(ConfigError, match="expression: q2:B, q1:b, q3:A$"):
+        Binding.uniform(scheme, zx, overrides)
+    # a label bound on only some of its qubits still counts as matched
+    assert Binding.uniform(scheme, zx).as_dict() == {
+        "q1:A": (0.0, 0.0, 1.0), "q1:B": (1.0, 0.0, 0.0), "q2:A": (0.0, 0.0, 1.0)
+    }
+
+
 def test_binding_missing_assignment():
     scheme = SettingScheme.uniform(2)
     with pytest.raises(ConfigError, match="no observable bound for qubit 1 label 'B'"):
@@ -208,6 +222,16 @@ def test_qubit_count_mismatch_rejected():
     binding = zx_binding(expression.scheme)
     with pytest.raises(ContractViolationError):
         quantum_value(expression, singlet(), binding)
+    # refused before the compiled matrix, whose rows would hold 2^40 entries
+    wide = BellExpression(
+        "wide",
+        SettingScheme.uniform(40, ("A",)),
+        (Term(1.0, CorrelatorTerm(("A",) * 40, frozenset((1, 40)))),),
+    )
+    binding = Binding.uniform(wide.scheme, {"A": Observable.z()})
+    with pytest.raises(ContractViolationError, match="40-qubit expression"):
+        term_breakdown(wide, w(), binding)
+    assert "compiled" not in vars(wide)
 
 
 def test_expression_label_validation():

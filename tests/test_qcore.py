@@ -29,7 +29,6 @@ from bell3q import (
     UndefinedConditionalError,
     basis_index,
     concurrence,
-    conditional_probability,
     correlator,
     event_probability,
     outcome_probability,
@@ -38,7 +37,13 @@ from bell3q import (
     permute_qubits,
 )
 
-from conftest import all_z, basis_state, brute_force_correlator, make_context
+from conftest import (
+    all_z,
+    basis_state,
+    brute_force_correlator,
+    conditional_probability,
+    make_context,
+)
 
 SQRT2 = math.sqrt(2.0)
 
