@@ -18,19 +18,19 @@ makes the objective of higher degree in its angle.  The optimizer evaluates
 the objective over an exhaustive coarse grid of the open angles, then
 refines the grid's winner with a shrinking coordinate search.
 
-An atom is a product of one factor per open axis, so K atoms over the grid
-sum K rank-1 tensors: one matrix product of their factors over all but the
-last axis with their coefficients times their last-axis factors.  Exact
-symmetries of the objective give its grid optima that differ only by
-rounding, so the winner is the first point in row order within
-``TIE_TOLERANCE`` of the maximum (the Hardy grid's rule too).  Everything
-is deterministic: two runs with the same inputs give identical results.
+An open axis carries only a few distinct monomials ``cos^i sin^j``, so the
+grid contracts each atom group (c, a_l, b_l), a sparse coefficient tensor
+over them, one axis at a time, at a cost of points times monomials; a
+single point sums the group's flat atoms in order on Python floats.  Exact
+symmetries give grid optima that differ only by rounding, so the winner is
+the first point in row order within ``TIE_TOLERANCE`` of the maximum (the
+Hardy grid's rule too).  Runs with the same inputs give identical results.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -46,20 +46,10 @@ DEFAULT_BUDGET = 10**8
 REFINE_TOLERANCE = 1e-6
 CERTIFY_TOLERANCE = 1e-6
 GRID_SLAB_POINTS = 2**20
+GRID_BLOCK_POINTS = 2**16
 HARDY_THETA_MIN = 1e-6
 TIE_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
-
-
-def _sum_atoms(total, atoms, cos, sin):
-    """Add ``coefficient * prod cos/sin`` over atoms to ``total`` at one
-    point; ``cos`` and ``sin`` hold one float per dimension."""
-    for coefficient, factors in atoms:
-        part = coefficient
-        for dim, axis in factors:
-            part = part * (cos[dim] if axis == "x" else sin[dim])
-        total += part
-    return total
 
 
 class PlaneObjective:
@@ -67,13 +57,14 @@ class PlaneObjective:
 
     Reduces the expression to atoms ``coefficient * prod_k comp(dim_k)``
     where each component is cos (x part) or sin (z part) of one search
-    dimension.  ``value`` evaluates them at full angles.  ``grid_values`` and
-    ``best_value`` take the open angles only and give the exact maximum over
-    the closed ones (in symmetric mode, where nothing is closed, the plain
-    value); ``complete`` recovers the closed angles that reach it.  The grid
-    takes each atom group (c, a_l, b_l) as one matrix product of per-axis
-    factors, a point sums atoms on Python floats.  All agree with the qcore
-    evaluation route to floating point accuracy.
+    dimension.  Each atom group (c, a_l, b_l) has a grid form, its
+    coefficients summed per monomial ``cos^i sin^j`` of each open axis, and
+    a point form, its atoms in order as coefficients and indices into the
+    open angles' cosines and sines.  ``grid_values`` and ``best_value`` take
+    the open angles only and give the exact maximum over the closed ones (in
+    symmetric mode, where nothing is closed, the plain value); ``complete``
+    recovers the closed angles that reach it, ``value`` evaluates full
+    angles.  All agree with the qcore route to floating point accuracy.
     """
 
     def __init__(self, expression: BellExpression, state: StateVector, mode: str):
@@ -128,17 +119,23 @@ class PlaneObjective:
                     )
                     self.atoms.append((scale * weight * entry, factors))
 
-        # Split the atoms into groups by their closed factor, if any, and
-        # renumber the rest over the open dimensions: c (no closed factor),
-        # then a_l (cos t_l) and b_l (sin t_l) of each closed label in turn.
+        # Split the atoms into groups by their closed factor, if any: c, then
+        # a_l (cos t_l) and b_l (sin t_l) of each closed label, each from the
+        # empty product (the constant for c).  A flat atom indexes its open
+        # factors into [cos..., sin...]; a tensor key has one (i, j) per axis.
+        width = len(self.open_dims)
         position = {dim: p for p, dim in enumerate(self.open_dims)}
         keys = [None] + [(dim, axis) for dim in self.closed_dims for axis in "xz"]
-        groups: dict = {key: [] for key in keys}
+        self._starts = [self.constant] + [0.0] * (len(keys) - 1)
+        self._flat: list[list] = [[] for _ in keys]
+        self._tensors = [{((0, 0),) * width: start} for start in self._starts]
         for coefficient, factors in self.atoms:
             closed = [factor for factor in factors if factor[0] not in position]
-            rest = tuple((position[dim], axis) for dim, axis in factors if dim in position)
-            groups[closed[0] if closed else None].append((coefficient, rest))
-        self._groups = [groups[key] for key in keys]
+            group = keys.index(closed[0] if closed else None)
+            indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
+            self._flat[group].append((coefficient, indices))
+            key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
+            self._tensors[group][key] = self._tensors[group].get(key, 0.0) + coefficient
 
     @property
     def num_dims(self) -> int:
@@ -146,14 +143,23 @@ class PlaneObjective:
 
     def value(self, angles: np.ndarray) -> float:
         """The objective at full angles, one per dimension."""
-        cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
-        return float(_sum_atoms(self.constant, self.atoms, cos, sin))
+        c, *closed = self._parts([angles[dim] for dim in self.open_dims])
+        for dim, a, b in zip(self.closed_dims, closed[::2], closed[1::2]):
+            c += a * math.cos(angles[dim]) + b * math.sin(angles[dim])
+        return float(c)
 
-    def _parts(self, open_angles: np.ndarray) -> list[float]:
-        """c, then a_l and b_l of each closed label, at one open point."""
-        cos, sin = np.cos(open_angles).tolist(), np.sin(open_angles).tolist()
-        starts = [self.constant] + [0.0] * (len(self._groups) - 1)
-        return [_sum_atoms(v, atoms, cos, sin) for v, atoms in zip(starts, self._groups)]
+    def _parts(self, open_angles) -> list[float]:
+        """c, then a_l and b_l of each closed label, at one open point: each
+        group's flat atoms, factors multiplied left to right, summed in order."""
+        values = [*map(math.cos, open_angles), *map(math.sin, open_angles)]
+        parts = []
+        for total, atoms in zip(self._starts, self._flat):
+            for coefficient, indices in atoms:
+                for i in indices:
+                    coefficient *= values[i]
+                total += coefficient
+            parts.append(total)
+        return parts
 
     def grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
         """Maximum over the closed angles at every point of an open grid."""
@@ -161,25 +167,36 @@ class PlaneObjective:
             raise ContractViolationError(
                 f"expected {len(self.open_dims)} axes, got {len(axes)}"
             )
-        # The groups' atoms side by side; factors[p][k, i] is atom k's
-        # factor at point i of open axis p.
-        atoms = [atom for group in self._groups for atom in group]
-        cos, sin = [np.cos(axis) for axis in axes], [np.sin(axis) for axis in axes]
-        factors = [np.ones((len(atoms), len(axis))) for axis in axes]
-        for k, (_, rest) in enumerate(atoms):
-            for p, component in rest:
-                factors[p][k] *= cos[p] if component == "x" else sin[p]
-        left = np.ones((1, len(atoms)))
-        for factor in factors[:-1]:
-            left = (left[:, None, :] * factor.T[None, :, :]).reshape(-1, len(atoms))
-        right = np.array([coefficient for coefficient, _ in atoms])[:, None] * factors[-1]
-        shape = tuple(len(axis) for axis in axes)
-        ends = list(accumulate((len(group) for group in self._groups), initial=0))
-        parts = ((left[:, a:b] @ right[a:b]).reshape(shape) for a, b in zip(ends, ends[1:]))
-        total = self.constant + next(parts)
-        for a, b in zip(parts, parts):  # consecutive (a_l, b_l) pairs
-            total += np.hypot(a, b)
-        return total
+
+        def contract(tensor):
+            # Axis by axis, keys agreeing on the remaining axes gather their
+            # grids over this axis's monomials; all but the last take its points.
+            keys, grid = list(tensor), np.array(list(tensor.values()))[:, None]
+            for p, axis in enumerate(axes):
+                pairs = list(dict.fromkeys(key[0] for key in keys))
+                parents: dict = {}
+                index = [parents.setdefault(key[1:], len(parents)) for key in keys]
+                rows = np.zeros((len(parents), grid.shape[1], len(pairs)))
+                rows[index, :, [pairs.index(key[0]) for key in keys]] = grid
+                trig, top = np.array([np.cos(axis), np.sin(axis)]), max(map(max, pairs))
+                powers = np.cumprod([np.ones_like(trig)] + [trig] * top, 0)  # cos^i, sin^i
+                table = np.array([powers[i, 0] * powers[j, 1] for i, j in pairs])
+                keys = list(parents)
+                if p < len(axes) - 1:
+                    grid = (rows @ table).reshape(len(keys), -1)
+            return rows[0], table
+
+        # The last axis in blocks, so that each block's parts stay in cache.
+        (c, c_table), *closed = [contract(tensor) for tensor in self._tensors]
+        total = np.empty((len(c), len(axes[-1])))
+        step = max(1, GRID_BLOCK_POINTS // len(axes[-1]))
+        for start in range(0, len(c), step):
+            block = slice(start, start + step)
+            np.matmul(c[block], c_table, out=total[block])
+            for (a, a_table), (b, b_table) in zip(closed[::2], closed[1::2]):
+                part = a[block] @ a_table
+                total[block] += np.hypot(part, b[block] @ b_table, out=part)
+        return total.reshape([len(axis) for axis in axes])
 
     def best_value(self, open_angles: np.ndarray) -> float:
         """Maximum over the closed angles at one point of the open angles."""
@@ -277,7 +294,7 @@ def _refine(
     """Shrinking coordinate search; never decreases the incumbent value.
     ``wrap[d]`` maps a moved coordinate d into its domain (default mod 2 pi)."""
     wrap = wrap or (_wrap_angle,) * len(start)
-    current = np.array(start, dtype=float)
+    current = [float(x) for x in start]
     best = start_value
     evaluations = 0
     step = initial_step
@@ -295,7 +312,7 @@ def _refine(
                     improved = True
         if not improved:
             step *= 0.5
-    return current, best, evaluations
+    return np.array(current), best, evaluations
 
 
 def _first_maximum(grid: np.ndarray, top: float) -> tuple:

@@ -7,9 +7,11 @@ and Walsh weights) and serve as its oracle.  ``scalar_hardy_*`` is the
 one-point-at-a-time Hardy chain and grid loop, the oracle of the
 broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
 ``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
-its factored matrix-product grid.  ``loop_reality_counterexample`` checks
-the three-qubit chain on each of the 64 z/x strategies in turn, the oracle
-of ``find_reality_counterexample``'s exact-bounds route.
+its monomial-tensor grid, and ``summed_parts`` sums them one by one at a
+point with ``_sum_atoms``, the oracle of its flat atoms.
+``loop_reality_counterexample`` checks the three-qubit chain on each of the
+64 z/x strategies in turn, the oracle of ``find_reality_counterexample``'s
+exact-bounds route.
 ``conditional_probability`` is the raising form of the conditional rule,
 which the package expresses once, as ``argument``'s vacuous-premise check.
 """
@@ -208,6 +210,37 @@ def broadcast_grid_values(objective, axes):
     for dim in objective.closed_dims:
         c += np.hypot(closed[(dim, "x")], closed[(dim, "z")])
     return c
+
+
+def _sum_atoms(total, atoms, cos, sin):
+    """Add ``coefficient * prod cos/sin`` over atoms to ``total`` at one
+    point; ``cos`` and ``sin`` hold one float per dimension."""
+    for coefficient, factors in atoms:
+        part = coefficient
+        for dim, axis in factors:
+            part = part * (cos[dim] if axis == "x" else sin[dim])
+        total += part
+    return total
+
+
+def summed_parts(objective, open_angles):
+    """``objective._parts(open_angles)`` atom by atom from the public atoms.
+
+    Splits them by their closed factor, if any, into c and each closed
+    label's a_l (cos) and b_l (sin), renumbers the open factors over the
+    open angles, and sums each group with ``_sum_atoms`` on ``np.cos`` and
+    ``np.sin`` of those angles, from the constant for c and 0 for the rest.
+    """
+    position = {dim: p for p, dim in enumerate(objective.open_dims)}
+    keys = [None] + [(dim, axis) for dim in objective.closed_dims for axis in "xz"]
+    groups = {key: [] for key in keys}
+    for coefficient, factors in objective.atoms:
+        closed = [factor for factor in factors if factor[0] not in position]
+        rest = tuple((position[dim], axis) for dim, axis in factors if dim in position)
+        groups[closed[0] if closed else None].append((coefficient, rest))
+    cos, sin = np.cos(open_angles).tolist(), np.sin(open_angles).tolist()
+    starts = [objective.constant] + [0.0] * (len(keys) - 1)
+    return [_sum_atoms(v, groups[key], cos, sin) for v, key in zip(starts, keys)]
 
 
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))

@@ -418,6 +418,20 @@ def test_closed_pipe_ends_quietly():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_import_defaults_openblas_to_one_thread():
+    # set before numpy loads; a value the user set wins
+    probe = "import os, bell3q; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    for setting, expected in ((None, "1"), ("4", "4")):
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == expected
+
+
 def test_eval_evaluates_each_term_once(monkeypatch, capsys):
     # every term of one eval is read from a single contraction
     calls = []

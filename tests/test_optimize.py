@@ -39,7 +39,12 @@ from bell3q import (
 )
 from bell3q.optimize import _hardy_chain
 
-from conftest import broadcast_grid_values, scalar_hardy_chain, scalar_hardy_grid
+from conftest import (
+    broadcast_grid_values,
+    scalar_hardy_chain,
+    scalar_hardy_grid,
+    summed_parts,
+)
 
 MERMIN_W_MAX = 3.045956
 GOLDEN_RATIO_PROBABILITY = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
@@ -279,6 +284,34 @@ def test_closed_qubit_oracle():
                 for t in scan:
                     trial[dim] = t
                     assert objective.value(trial) <= best + 1e-12, (name, dim)
+
+
+def test_flat_atoms_match_the_summed_oracle():
+    # bit for bit: the flat atoms on math.cos and math.sin against the
+    # public atoms summed one by one on np.cos and np.sin, at random open
+    # points and through a whole maximize with the oracle in their place
+    rng = np.random.default_rng(17)
+    states = {
+        3: (w(), ghz(), _random_state(rng, 3)),
+        2: (singlet(), hardy(0.4347), _random_state(rng, 2)),
+    }
+    for name in catalog_ids():
+        expression = catalog(name)
+        for state, mode in product(states[expression.num_qubits], ("symmetric", "free")):
+            objective = PlaneObjective(expression, state, mode)
+            points = rng.uniform(0.0, TWO_PI, size=(50, len(objective.open_dims)))
+            found = [(objective.best_value(p), objective.complete(p)) for p in points]
+            step = 0.5 if (mode, expression.num_qubits) == ("free", 3) else None
+            result = maximize(expression, state, mode, grid_step=step)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PlaneObjective, "_parts", summed_parts)
+                for point, (best, angles) in zip(points, found):
+                    assert objective.best_value(point) == best, (name, mode)
+                    assert np.array_equal(objective.complete(point), angles), (name, mode)
+                expected = maximize(expression, state, mode, grid_step=step)
+            assert result.value == expected.value, (name, mode)
+            assert result.point.angles == expected.point.angles, (name, mode)
+            assert result.evaluations == expected.evaluations, (name, mode)
 
 
 def test_hardy_chain_broadcast_matches_scalar_loop():
