@@ -12,19 +12,24 @@ Two-qubit chain (``run_hardy_argument``): sometimes a1 = a2 = +1 (p1);
 always a1 = +1 implies b2 = +1 and a2 = +1 implies b1 = +1 (p2, p3); never
 b1 = b2 = +1 (p4).  The same four probabilities assemble into the ch catalog
 expression's middle term.
+
+Each chain contracts the state once, into the ``correlation_table`` of all
+its observables, and reads each probability from its context's sub-table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractViolationError
 from .expressions import catalog
 from .qcore import (
     CONDITION_FLOOR,
-    MeasurementContext,
     Observable,
     StateVector,
-    event_probability,
+    WalshForm,
+    correlation_table,
     outcome_tuples,
 )
 
@@ -89,10 +94,6 @@ class ArgumentReport:
         }
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
-
-
 def _report(
     state_name: str,
     structure: str,
@@ -115,19 +116,22 @@ def _report(
     )
 
 
+def _probability(table: np.ndarray, context: tuple[int, ...], accepted: list) -> float:
+    """P(accepted) in one context, read from its ``(2,) * n`` sub-table: index
+    0 (the identity) and ``context[q - 1]`` (the observable) on each axis q."""
+    sub_table = table[np.ix_(*((0, k) for k in context))]
+    return WalshForm.of_event(accepted, table.ndim).value(sub_table)
+
+
 def _conditional(
-    description: str,
-    state: StateVector,
-    context: MeasurementContext,
-    premise: list[tuple[int, ...]],
-    joint: list[tuple[int, ...]],
+    description: str, table: np.ndarray, context: tuple[int, ...], premise: list, joint: list
 ) -> ConditionalCheck:
     """P(joint | premise) in one context; vacuous when the premise has
     probability at most CONDITION_FLOOR."""
-    premise_probability = event_probability(state, context, premise)
+    premise_probability = _probability(table, context, premise)
     probability = None
     if premise_probability > CONDITION_FLOOR:
-        probability = event_probability(state, context, joint) / premise_probability
+        probability = _probability(table, context, joint) / premise_probability
     return ConditionalCheck(description, premise_probability, probability)
 
 
@@ -146,33 +150,28 @@ def run_w_argument(
     """
     if state.num_qubits != 3:
         raise ContractViolationError("the three-qubit argument needs a three-qubit state")
-    z, x = Observable.z(), Observable.x()
+    table = correlation_table(state, [(Observable.z(), Observable.x())] * 3)
+    z, x = 1, 2  # their indices on every axis of the table
     tuples = outcome_tuples(3)
 
-    zzz = MeasurementContext((z, z, z))
-    p1 = event_probability(
-        state, zzz, [o for o in tuples if sum(1 for v in o if v == -1) >= 2]
-    )
+    p1 = _probability(table, (z, z, z), [o for o in tuples if sum(1 for v in o if v == -1) >= 2])
 
     conditionals: list[ConditionalCheck] = []
     for i, j, k in _CYCLIC:
-        observables = [x, x, x]
-        observables[i - 1] = z
-        context = MeasurementContext(tuple(observables))
+        context = tuple(z if q == i else x for q in (1, 2, 3))
         premise = [o for o in tuples if o[i - 1] == -1]
         joint = [o for o in premise if o[j - 1] == o[k - 1]]
         description = f"P(x{j} = x{k} | z{i} = -1)"
-        conditionals.append(_conditional(description, state, context, premise, joint))
+        conditionals.append(_conditional(description, table, context, premise, joint))
 
-    xxx = MeasurementContext((x, x, x))
-    p4 = event_probability(state, xxx, [(1, 1, 1), (-1, -1, -1)])
+    p4 = _probability(table, (x, x, x), [(1, 1, 1), (-1, -1, -1)])
 
     values = [check.probability for check in conditionals]
     p2 = p3 = None
     if None not in values:
         # Both conditional families traverse the same three conditionals,
         # one indexed by the conditioning qubit i, the other by j.
-        p2, p3 = _mean(values), _mean(values[1:] + values[:1])
+        p2, p3 = sum(values) / 3, sum(values[1:] + values[:1]) / 3
     structure = W_STRUCTURE if abs(p1 - 1.0) <= atol else GHZ_STRUCTURE
     return _report(state_name, structure, p1, p2, p3, p4, tuple(conditionals), atol)
 
@@ -195,26 +194,19 @@ def run_hardy_argument(
     if state.num_qubits != 2:
         raise ContractViolationError("the Hardy argument needs a two-qubit state")
 
-    ctx_aa = MeasurementContext((a1, a2))
-    ctx_ab = MeasurementContext((a1, b2))
-    ctx_ba = MeasurementContext((b1, a2))
-    ctx_bb = MeasurementContext((b1, b2))
+    table = correlation_table(state, [(a1, b1), (a2, b2)])
+    aa, ab, ba, bb = (1, 1), (1, 2), (2, 1), (2, 2)  # a_q at index 1, b_q at 2
 
-    p1 = event_probability(state, ctx_aa, [(1, 1)])
-    p4 = event_probability(state, ctx_bb, [(1, 1)])
+    p1 = _probability(table, aa, [(1, 1)])
+    p4 = _probability(table, bb, [(1, 1)])
 
     conditionals = (
-        _conditional("P(b2 = +1 | a1 = +1)", state, ctx_ab, [(1, 1), (1, -1)], [(1, 1)]),
-        _conditional("P(b1 = +1 | a2 = +1)", state, ctx_ba, [(1, 1), (-1, 1)], [(1, 1)]),
+        _conditional("P(b2 = +1 | a1 = +1)", table, ab, [(1, 1), (1, -1)], [(1, 1)]),
+        _conditional("P(b1 = +1 | a2 = +1)", table, ba, [(1, 1), (-1, 1)], [(1, 1)]),
     )
     p2, p3 = (check.probability for check in conditionals)
 
-    ch_middle = (
-        p1
-        - event_probability(state, ctx_ab, [(1, -1)])
-        - event_probability(state, ctx_ba, [(-1, 1)])
-        - p4
-    )
+    ch_middle = p1 - _probability(table, ab, [(1, -1)]) - _probability(table, ba, [(-1, 1)]) - p4
 
     return _report(
         state_name, HARDY_STRUCTURE, p1, p2, p3, p4, conditionals, atol, ch_middle

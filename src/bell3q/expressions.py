@@ -5,11 +5,11 @@ Each expression carries its own setting scheme.  Catalog entries use labels
 from binding ``A`` to the z observable and ``B`` to the x observable unless
 stated otherwise.
 
-Quantum values come from one ``correlation_table`` per expression, state
-and binding, holding the correlator of every choice of identity or one
-bound label per qubit.  ``BellExpression.compiled`` lays each term's Walsh
-weights out on that table, so every term is one row of a single
-matrix-vector product.
+Quantum values come from one ``correlation_table`` per state, binding and
+label set, holding the correlator of every choice of identity or one bound
+label per qubit, which the state keeps for the next expression under that
+``Binding`` object.  ``BellExpression.compiled`` lays each term's Walsh
+weights out on that table, so every term is one row of one matrix product.
 
 Catalog ids
 -----------
@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -178,10 +179,10 @@ class BellExpression:
 
 
 class Binding:
-    """Assignment of one observable to every (qubit, label) pair."""
+    """Assignment of one observable to every (qubit, label) pair, immutable."""
 
     def __init__(self, assignments: Mapping[tuple[int, str], Observable]):
-        self._assignments = dict(assignments)
+        self._assignments = MappingProxyType(dict(assignments))
         for (qubit, label), observable in self._assignments.items():
             if not isinstance(observable, Observable):
                 raise ContractViolationError(
@@ -237,19 +238,24 @@ def term_breakdown(
     expression: BellExpression, state: StateVector, binding: Binding
 ) -> tuple[tuple[Term, float], ...]:
     """Per-term quantum values (without coefficients), in expression order:
-    one ``correlation_table`` with every label's observable, read by the
-    compiled weights."""
+    the state's ``correlation_table`` with every label's observable, kept
+    for the last binding and label set, read by the compiled weights."""
     if state.num_qubits != expression.num_qubits:
         raise ContractViolationError(
             f"{expression.num_qubits}-qubit expression applied to a "
             f"{state.num_qubits}-qubit state"
         )
-    observables = [
-        tuple(binding.observable(qubit, label) for label in labels)
-        for qubit, labels in enumerate(expression.scheme.labels_per_qubit, start=1)
-    ]
+    scheme_labels = expression.scheme.labels_per_qubit
+
+    def table() -> np.ndarray:
+        observables = [
+            tuple(binding.observable(qubit, label) for label in labels)
+            for qubit, labels in enumerate(scheme_labels, start=1)
+        ]
+        return correlation_table(state, observables).reshape(-1)
+
     weights, denominators = expression.compiled
-    values = weights @ correlation_table(state, observables).reshape(-1) / denominators
+    values = weights @ state.last_table((binding, scheme_labels), table) / denominators
     return tuple(zip(expression.terms, values.tolist()))
 
 

@@ -16,11 +16,12 @@ Every quantum value goes through one compiled form: a state's Pauli
 correlation tensor, built on first use, contracted per qubit with
 ``(1, 0, 0, 0)`` and one ``(0, n)`` row per observable gives the correlator
 of every choice of identity or one observable per qubit
-(``correlation_table``): every label's observable at once for an
-expression under a binding, one per qubit for a measurement context.
-Probabilities expand into those correlators through
-``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight of each
-subset, which ``expressions``, ``lhv`` and ``optimize`` read.
+(``correlation_table``): every label's observable for the expressions under
+a binding, kept by the state for the last key (``StateVector.last_table``);
+every observable of an argument chain, whose contexts read ``(2,) * n``
+sub-tables; one per qubit for a measurement context.  Probabilities expand
+into those correlators through ``[s = o] = (1 + o s) / 2``; ``WalshForm``
+holds the integer weight of each subset, which the other modules read.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -103,6 +104,13 @@ class StateVector:
         tensor = np.einsum(f"{spec},{rows},{cols}->{paulis}", *[_PAULIS] * n, psi.conj(), psi)
         return _read_only(np.ascontiguousarray(tensor.real))
 
+    def last_table(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """``build()`` made read-only and kept for the last ``key`` (by ``==``) only."""
+        memo = self.__dict__.get("_last_table")
+        if memo is None or memo[0] != key:
+            memo = self.__dict__["_last_table"] = (key, _read_only(build()))
+        return memo[1]
+
 
 @dataclass(frozen=True)
 class Observable:
@@ -150,6 +158,12 @@ class Observable:
         return (PAULI_I + outcome * self.matrix()) / 2.0
 
 
+def _observable(obs) -> Observable:
+    if not isinstance(obs, Observable):
+        raise ContractViolationError(f"not an observable: {obs!r}")
+    return obs
+
+
 @dataclass(frozen=True)
 class MeasurementContext:
     """One observable per qubit, measured jointly."""
@@ -157,10 +171,7 @@ class MeasurementContext:
     observables: tuple[Observable, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observables", tuple(self.observables))
-        for obs in self.observables:
-            if not isinstance(obs, Observable):
-                raise ContractViolationError(f"not an observable: {obs!r}")
+        object.__setattr__(self, "observables", tuple(map(_observable, self.observables)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +296,7 @@ def correlation_table(
         )
     table = state.pauli_tensor
     for per_qubit in observables:
-        rows = np.array([(1.0, 0.0, 0.0, 0.0), *((0.0, *o.direction) for o in per_qubit)])
+        rows = np.array([(1.0, 0.0, 0.0, 0.0), *((0.0, *_observable(o).direction) for o in per_qubit)])
         # contract the leading axis; the new one goes last, so after every
         # qubit the axes are back in order
         table = (rows @ table.reshape(4, -1)).T

@@ -68,6 +68,20 @@ def all_x(n):
     return make_context(*(Observable.x() for _ in range(n)))
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` for one test by a wrapper that records the
+    arguments of every call; returns the list of records."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def zx_binding(scheme):
     """Uniform A = z, B = x binding for any two-label scheme."""
     return Binding.uniform(scheme, {"A": Observable.z(), "B": Observable.x()})

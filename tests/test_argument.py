@@ -15,16 +15,20 @@ import math
 import numpy as np
 import pytest
 
+import bell3q.argument
 from bell3q import (
     ContractViolationError,
+    MeasurementContext,
     Observable,
     StateVector,
     catalog,
     enumerate_strategies,
+    event_probability,
     find_reality_counterexample,
     ghz,
     hardy,
     hardy_maximum,
+    outcome_tuples,
     permute_qubits,
     run_hardy_argument,
     run_w_argument,
@@ -33,7 +37,14 @@ from bell3q import (
     w,
 )
 
-from conftest import CYCLIC, basis_state, breaks_reality_chain, loop_reality_counterexample
+from bell3q.qcore import CONDITION_FLOOR
+from conftest import (
+    CYCLIC,
+    basis_state,
+    breaks_reality_chain,
+    count_calls,
+    loop_reality_counterexample,
+)
 
 GOLDEN_RATIO_PROBABILITY = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 
@@ -213,3 +224,109 @@ def test_singlet_chain_middle_matches_ch_optimum_value():
     assert report.ch_middle == pytest.approx(
         (math.sqrt(2.0) - 1.0) / 2.0, abs=1e-9
     )
+
+
+def _oracle_conditional(state, context, premise, joint):
+    premise_probability = event_probability(state, context, premise)
+    if premise_probability <= CONDITION_FLOOR:
+        return premise_probability, None
+    return premise_probability, event_probability(state, context, joint) / premise_probability
+
+
+def _w_chain_oracle(state):
+    """p1, the conditionals and p4 of the three-qubit chain, one
+    ``MeasurementContext`` and one contraction per probability."""
+    z, x = Observable.z(), Observable.x()
+    tuples = outcome_tuples(3)
+    p1 = event_probability(
+        state, MeasurementContext((z, z, z)), [o for o in tuples if sum(v == -1 for v in o) >= 2]
+    )
+    conditionals = []
+    for i, j, k in CYCLIC:
+        context = MeasurementContext(tuple(z if q == i else x for q in (1, 2, 3)))
+        premise = [o for o in tuples if o[i - 1] == -1]
+        joint = [o for o in premise if o[j - 1] == o[k - 1]]
+        conditionals.append(_oracle_conditional(state, context, premise, joint))
+    p4 = event_probability(state, MeasurementContext((x, x, x)), [(1, 1, 1), (-1, -1, -1)])
+    return p1, conditionals, p4
+
+
+def _hardy_chain_oracle(state, a1, b1, a2, b2):
+    """p1, the conditionals, p4 and ch_middle of the two-qubit chain, one
+    ``MeasurementContext`` and one contraction per probability."""
+    aa, ab = MeasurementContext((a1, a2)), MeasurementContext((a1, b2))
+    ba, bb = MeasurementContext((b1, a2)), MeasurementContext((b1, b2))
+    p1 = event_probability(state, aa, [(1, 1)])
+    p4 = event_probability(state, bb, [(1, 1)])
+    conditionals = [
+        _oracle_conditional(state, ab, [(1, 1), (1, -1)], [(1, 1)]),
+        _oracle_conditional(state, ba, [(1, 1), (-1, 1)], [(1, 1)]),
+    ]
+    middle = p1 - event_probability(state, ab, [(1, -1)]) - event_probability(state, ba, [(-1, 1)])
+    return p1, conditionals, p4, middle - p4
+
+
+def _random_state(rng, num_qubits):
+    amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes))
+
+
+def _random_observable(rng):
+    direction = rng.normal(size=3)
+    return Observable(tuple(direction / np.linalg.norm(direction)))
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    return count_calls(monkeypatch, bell3q.argument, "correlation_table")
+
+
+def _checks(report):
+    return [(check.premise_probability, check.probability) for check in report.conditionals]
+
+
+def test_w_chain_reads_one_table_equal_to_the_per_context_route(contractions):
+    rng = np.random.default_rng(1003)
+    states = [ghz(), w(), basis_state(3, 0), basis_state(3, 6)]
+    states += [_random_state(rng, 3) for _ in range(40)]
+    for state in states:
+        del contractions[:]
+        report = run_w_argument(state)
+        assert len(contractions) == 1
+        p1, conditionals, p4 = _w_chain_oracle(state)
+        assert (report.p1, _checks(report), report.p4) == (p1, conditionals, p4)
+        values = [probability for _, probability in conditionals]
+        if None in values:
+            assert report.p2 is None and report.p3 is None
+        else:
+            assert report.p2 == sum(values) / 3
+            assert report.p3 == sum(values[1:] + values[:1]) / 3
+
+
+def test_hardy_chain_reads_one_table_equal_to_the_per_context_route(contractions):
+    rng = np.random.default_rng(1004)
+    z, x = Observable.z(), Observable.x()
+    readme = [Observable.xz_plane(a) for a in (4.0995, 5.9087, 5.3252, 3.5161)]
+    cases = [
+        (hardy(0.4347), readme),
+        (singlet(), [z, x, z, x]),
+        (StateVector(2, np.array([0.0, 0.0, 0.0, 1.0])), [z, x, z, x]),  # vacuous premise
+    ]
+    cases += [
+        (_random_state(rng, 2), [_random_observable(rng) for _ in range(4)]) for _ in range(40)
+    ]
+    for state, observables in cases:
+        del contractions[:]
+        report = run_hardy_argument(state, *observables)
+        assert len(contractions) == 1
+        p1, conditionals, p4, ch_middle = _hardy_chain_oracle(state, *observables)
+        assert (report.p1, _checks(report), report.p4) == (p1, conditionals, p4)
+        assert report.ch_middle == ch_middle
+        assert (report.p2, report.p3) == tuple(probability for _, probability in conditionals)
+
+
+def test_chains_refuse_a_non_observable():
+    with pytest.raises(ContractViolationError, match="not an observable: 'z'"):
+        run_hardy_argument(singlet(), "z", Observable.x(), Observable.z(), Observable.x())
+    with pytest.raises(ContractViolationError, match="not an observable"):
+        run_hardy_argument(singlet(), Observable.z(), Observable.x(), Observable.z(), None)

@@ -1,8 +1,8 @@
 """The compiled form against independent routes.
 
 Quantum values from the Pauli correlation tensor and Walsh weights (one
-correlation table per expression, state and binding) are checked against
-the kron oracle in ``conftest``, and the vectorized exact
+correlation table per state and binding, shared by every expression) are
+checked against the kron oracle in ``conftest``, and the vectorized exact
 bounds against the pure-python ``strategy_value`` loop, bit for bit,
 witnesses included.  The x-z plane objective is checked against
 ``quantum_value`` in ``test_optimize``.
@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bell3q.expressions
 from bell3q import (
     BellExpression,
     Binding,
+    ContractViolationError,
     CorrelatorTerm,
     Observable,
     PlaneObjective,
@@ -47,7 +49,14 @@ from bell3q import (
 )
 from bell3q.qcore import WalshForm, correlation_table
 
-from conftest import kron_correlator, kron_outcome_probability, kron_term_value, make_context
+from conftest import (
+    count_calls,
+    kron_correlator,
+    kron_outcome_probability,
+    kron_term_value,
+    make_context,
+    zx_binding,
+)
 
 
 
@@ -145,6 +154,11 @@ def test_correlation_table_holds_every_label_choice():
         assert table[index] == pytest.approx(expected, abs=1e-12)
 
 
+def test_correlation_table_refuses_a_non_observable():
+    with pytest.raises(ContractViolationError, match="not an observable: 'x'"):
+        correlation_table(singlet(), [(Observable.z(),), (Observable.z(), "x")])
+
+
 def test_qcore_primitives_match_the_kron_oracle():
     rng = np.random.default_rng(7)
     for num_qubits in (2, 3):
@@ -205,6 +219,71 @@ def test_compiled_once_and_lazily():
     assert state.pauli_tensor is tensor
     assert expression.compiled is compiled
     assert not any(array.flags.writeable for array in (tensor, weights, denominators))
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    return count_calls(monkeypatch, bell3q.expressions, "correlation_table")
+
+
+def _three_qubit_catalog():
+    return [catalog(name) for name in catalog_ids() if catalog(name).num_qubits == 3]
+
+
+def test_one_table_per_state_binding_and_labels(contractions):
+    three = _three_qubit_catalog()
+    assert len(three) == 6
+    state = _random_state(np.random.default_rng(2004), 3)
+    binding = zx_binding(three[0].scheme)
+    values = {}
+    for expression in three:
+        evaluate_report(expression, state, binding)
+        values[expression.name] = term_breakdown(expression, state, binding)
+    assert len(contractions) == 1
+    # the memo is keyed by the binding object, the state and the labels
+    twin = Binding(dict(binding.items()))
+    assert term_breakdown(three[0], state, twin) == values[three[0].name]
+    assert len(contractions) == 2
+    term_breakdown(three[0], StateVector(3, state.amplitudes), twin)
+    assert len(contractions) == 3
+    only_a = parse_expression_text("1 CORR q1:A q2:A q3:A SUBSET=1,2,3\n")
+    assert only_a.scheme.labels_per_qubit != three[0].scheme.labels_per_qubit
+    term_breakdown(only_a, state, twin)
+    assert len(contractions) == 4
+    # one entry: the other labels replaced the table of the catalog's labels
+    term_breakdown(three[0], state, twin)
+    assert len(contractions) == 5
+
+
+def test_interleaved_bindings_match_a_fresh_state():
+    rng = np.random.default_rng(2005)
+    amplitudes = _random_state(rng, 3).amplitudes
+    state = StateVector(3, amplitudes)
+    scheme = catalog("mermin").scheme
+    first = zx_binding(scheme)
+    second = Binding({pair: _random_observable(rng) for pair in scheme.pairs()})
+    for binding in (first, second, first):
+        for expression in _three_qubit_catalog():
+            fresh = StateVector(3, amplitudes)
+            assert term_breakdown(expression, state, binding) == term_breakdown(
+                expression, fresh, binding
+            )
+            assert quantum_value(expression, state, binding) == quantum_value(
+                expression, fresh, binding
+            )
+
+
+def test_the_kept_table_and_its_binding_are_read_only():
+    expression, state = catalog("mermin"), w()
+    binding = zx_binding(expression.scheme)
+    term_breakdown(expression, state, binding)
+    key = (binding, expression.scheme.labels_per_qubit)
+    table = state.last_table(key, lambda: pytest.fail("the table was contracted again"))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+    with pytest.raises(TypeError):
+        binding._assignments[(1, "A")] = Observable.y()
 
 
 def test_import_compiles_nothing():
