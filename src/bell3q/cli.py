@@ -339,12 +339,28 @@ def _cmd_argue(args: argparse.Namespace) -> dict:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> dict:
+    if args.hardy_search:
+        angle_search = {
+            "--state": args.state,
+            "--expr": args.expr,
+            "--mode": args.mode,
+            "--grid-step": args.grid_step,
+            "--budget": args.budget,
+            "--certify-below": args.certify_below,
+        }
+        given = [flag for flag, value in angle_search.items() if value is not None]
+        if given:
+            raise ConfigError(f"--hardy-search does not take {', '.join(given)}")
+    elif args.state_angle is not None:
+        raise ConfigError("--state-angle applies only to --hardy-search")
+    mode = "symmetric" if args.mode is None else args.mode
+    budget = optimize_mod.DEFAULT_BUDGET if args.budget is None else args.budget
     config = {
         "state": args.state,
         "expr": args.expr,
-        "mode": args.mode,
+        "mode": mode,
         "grid_step": args.grid_step,
-        "budget": args.budget,
+        "budget": budget,
         "certify_below": args.certify_below,
         "hardy_search": args.hardy_search,
         "state_angle": args.state_angle,
@@ -363,17 +379,17 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
             expression,
             state,
             args.certify_below,
-            args.mode,
+            mode,
             grid_step=args.grid_step,
-            budget=args.budget,
+            budget=budget,
         )
         return {"command": "optimize", "config": config, "result": certification.as_dict()}
     result = optimize_mod.maximize(
         expression,
         state,
-        args.mode,
+        mode,
         grid_step=args.grid_step,
-        budget=args.budget,
+        budget=budget,
     )
     return {"command": "optimize", "config": config, "result": result.as_dict()}
 
@@ -438,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument("--state")
     optimize_parser.add_argument("--expr")
     optimize_parser.add_argument(
-        "--mode", choices=("symmetric", "free"), default="symmetric"
+        "--mode", choices=("symmetric", "free"), help="default symmetric"
     )
     optimize_parser.add_argument("--grid-step", type=float, default=None)
     optimize_parser.add_argument(
-        "--budget", type=int, default=optimize_mod.DEFAULT_BUDGET
+        "--budget", type=int, help=f"grid points allowed (default {optimize_mod.DEFAULT_BUDGET})"
     )
     optimize_parser.add_argument(
         "--certify-below",
@@ -454,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument(
         "--hardy-search",
         action="store_true",
-        help="search the sometimes-always-never chain over state and observables",
+        help="search the sometimes-always-never chain over state and observables; "
+        "takes only --state-angle",
     )
     optimize_parser.add_argument(
         "--state-angle", type=float, default=None, help="fix the state angle of --hardy-search"

@@ -177,6 +177,12 @@ class BellExpression:
         denominators.setflags(write=False)
         return weights, denominators
 
+    @cached_property
+    def plane_plans(self) -> dict:
+        """The optimizer's state-independent ``PlanePlan`` per x-z plane
+        mode, each built by ``optimize`` on its first use."""
+        return {}
+
 
 class Binding:
     """Assignment of one observable to every (qubit, label) pair, immutable."""

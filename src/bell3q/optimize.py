@@ -25,6 +25,13 @@ single point sums the group's flat atoms in order on Python floats.  Exact
 symmetries give grid optima that differ only by rounding, so the winner is
 the first point in row order within ``TIE_TOLERANCE`` of the maximum (the
 Hardy grid's rule too).  Runs with the same inputs give identical results.
+
+Everything of the polynomial but the state's tensor entries (the dimensions,
+the constant and each candidate atom's weight, tensor index, factors, group,
+point form and grid key) is a ``PlanePlan``, built once per expression and
+mode and kept on the expression; an objective for a state reads the entries
+and weights the atoms.  The coordinate search remembers the value of every
+point it has tried and never evaluates a point twice.
 """
 from __future__ import annotations
 
@@ -52,6 +59,82 @@ TIE_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+@dataclass(frozen=True, eq=False)
+class PlanePlan:
+    """What ``PlaneObjective`` reads of an expression, whatever the state.
+
+    The dimensions, the closed and open ones, the constant, and per
+    candidate atom (a nonempty Walsh subset with an x or z part per qubit)
+    its flat index into the Pauli tensor (``entries``) and, in ``atoms``,
+    its weight ``coefficient / denominator * walsh_weight``, factors, group,
+    point form (three indices into ``[cos..., sin..., 1.0]``, padded with
+    the 1.0 slot, and a tuple of any further ones) and grid key.
+    """
+
+    dims: tuple
+    closed_dims: tuple[int, ...]
+    open_dims: tuple[int, ...]
+    constant: float
+    entries: np.ndarray
+    atoms: tuple[tuple, ...]
+
+    @classmethod
+    def of(cls, expression: BellExpression, mode: str) -> "PlanePlan":
+        """The expression's plan for ``mode``, built on first use."""
+        plans = expression.plane_plans
+        if mode not in plans:
+            plans[mode] = cls._build(expression, mode)
+        return plans[mode]
+
+    @classmethod
+    def _build(cls, expression: BellExpression, mode: str) -> "PlanePlan":
+        pairs = expression.scheme.pairs()
+        if mode == "symmetric":
+            dims: tuple = tuple(dict.fromkeys(label for _, label in pairs))
+            dim_of = {pair: dims.index(pair[1]) for pair in pairs}
+            closed_dims: tuple[int, ...] = ()
+        else:
+            dims = pairs
+            dim_of = {pair: i for i, pair in enumerate(pairs)}
+            counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
+            closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
+            closed_dims = tuple(i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit)
+        open_dims = tuple(i for i in range(len(dims)) if i not in closed_dims)
+
+        width = len(open_dims)
+        position = {dim: p for p, dim in enumerate(open_dims)}
+        keys = [None] + [(dim, axis) for dim in closed_dims for axis in "xz"]
+        shape = (4,) * expression.num_qubits
+        constant, entries, atoms = 0.0, [], []
+        for term in expression.terms:
+            labels, walsh = term.payload.labels, term.payload.walsh
+            scale = term.coefficient / walsh.denominator
+            for subset, weight in walsh.weights:
+                if not subset:
+                    constant += scale * weight
+                    continue
+                for axes in product("xz", repeat=len(subset)):
+                    index = [0] * len(shape)
+                    for qubit, axis in zip(subset, axes):
+                        index[qubit - 1] = PAULI_AXES.index(axis)
+                    factors = tuple(
+                        (dim_of[(qubit, labels[qubit - 1])], axis)
+                        for qubit, axis in zip(subset, axes)
+                    )
+                    closed = [factor for factor in factors if factor[0] not in position]
+                    indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
+                    key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
+                    padded = indices + (2 * width,) * (3 - len(indices))
+                    entries.append(np.ravel_multi_index(index, shape))
+                    atoms.append((
+                        scale * weight, factors, keys.index(closed[0] if closed else None),
+                        (*padded[:3], padded[3:]), key,
+                    ))
+        entries = np.array(entries, dtype=np.intp)
+        entries.setflags(write=False)
+        return cls(dims, closed_dims, open_dims, constant, entries, tuple(atoms))
+
+
 class PlaneObjective:
     """Evaluator of an expression over x-z plane angles.
 
@@ -65,6 +148,8 @@ class PlaneObjective:
     symmetric mode, where nothing is closed, the plain value); ``complete``
     recovers the closed angles that reach it, ``value`` evaluates full
     angles.  All agree with the qcore route to floating point accuracy.
+    The expression's ``PlanePlan`` holds everything but the state's tensor
+    entries, so a new state only reads those and weights its atoms.
     """
 
     def __init__(self, expression: BellExpression, state: StateVector, mode: str):
@@ -78,64 +163,23 @@ class PlaneObjective:
         self.expression = expression
         self.state = state
         self.mode = mode
+        self.plan = plan = PlanePlan.of(expression, mode)
+        self.dims, self.closed_dims, self.open_dims = plan.dims, plan.closed_dims, plan.open_dims
+        self.constant = plan.constant
 
-        pairs = expression.scheme.pairs()
-        if mode == "symmetric":
-            self.dims: tuple = tuple(dict.fromkeys(label for _, label in pairs))
-            self._dim_of = {pair: self.dims.index(pair[1]) for pair in pairs}
-            self.closed_dims: tuple[int, ...] = ()
-        else:
-            self.dims = pairs
-            self._dim_of = {pair: i for i, pair in enumerate(pairs)}
-            counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
-            closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
-            self.closed_dims = tuple(
-                i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit
-            )
-        self.open_dims = tuple(
-            i for i in range(len(self.dims)) if i not in self.closed_dims
-        )
-
-        self.constant = 0.0
         self.atoms: list[tuple[float, tuple[tuple[int, str], ...]]] = []
-        tensor = state.pauli_tensor
-        for term in expression.terms:
-            labels, walsh = term.payload.labels, term.payload.walsh
-            scale = term.coefficient / walsh.denominator
-            for subset, weight in walsh.weights:
-                if not subset:
-                    self.constant += scale * weight
-                    continue
-                for axes in product("xz", repeat=len(subset)):
-                    index = [0] * expression.num_qubits
-                    for qubit, axis in zip(subset, axes):
-                        index[qubit - 1] = PAULI_AXES.index(axis)
-                    entry = float(tensor[tuple(index)])
-                    if abs(entry) < 1e-15:
-                        continue
-                    factors = tuple(
-                        (self._dim_of[(qubit, labels[qubit - 1])], axis)
-                        for qubit, axis in zip(subset, axes)
-                    )
-                    self.atoms.append((scale * weight * entry, factors))
-
-        # Split the atoms into groups by their closed factor, if any: c, then
-        # a_l (cos t_l) and b_l (sin t_l) of each closed label, each from the
-        # empty product (the constant for c).  A flat atom indexes its open
-        # factors into [cos..., sin...]; a tensor key has one (i, j) per axis.
-        width = len(self.open_dims)
-        position = {dim: p for p, dim in enumerate(self.open_dims)}
-        keys = [None] + [(dim, axis) for dim in self.closed_dims for axis in "xz"]
-        self._starts = [self.constant] + [0.0] * (len(keys) - 1)
-        self._flat: list[list] = [[] for _ in keys]
-        self._tensors = [{((0, 0),) * width: start} for start in self._starts]
-        for coefficient, factors in self.atoms:
-            closed = [factor for factor in factors if factor[0] not in position]
-            group = keys.index(closed[0] if closed else None)
-            indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
-            self._flat[group].append((coefficient, indices))
-            key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
-            self._tensors[group][key] = self._tensors[group].get(key, 0.0) + coefficient
+        self._starts = [plan.constant] + [0.0] * (2 * len(plan.closed_dims))
+        self._flat: list[list] = [[] for _ in self._starts]
+        self._tensors = [{((0, 0),) * len(plan.open_dims): start} for start in self._starts]
+        entries = state.pauli_tensor.ravel()[plan.entries].tolist()
+        for entry, (weight, factors, group, point, key) in zip(entries, plan.atoms):
+            if abs(entry) < 1e-15:
+                continue
+            coefficient = weight * entry
+            self.atoms.append((coefficient, factors))
+            self._flat[group].append((coefficient, *point))
+            tensor = self._tensors[group]
+            tensor[key] = tensor.get(key, 0.0) + coefficient
 
     @property
     def num_dims(self) -> int:
@@ -150,14 +194,17 @@ class PlaneObjective:
 
     def _parts(self, open_angles) -> list[float]:
         """c, then a_l and b_l of each closed label, at one open point: each
-        group's flat atoms, factors multiplied left to right, summed in order."""
-        values = [*map(math.cos, open_angles), *map(math.sin, open_angles)]
+        group's flat atoms, factors multiplied left to right (a padded slot
+        multiplies by the exact 1.0), summed in order."""
+        values = [*map(math.cos, open_angles), *map(math.sin, open_angles), 1.0]
         parts = []
         for total, atoms in zip(self._starts, self._flat):
-            for coefficient, indices in atoms:
-                for i in indices:
-                    coefficient *= values[i]
-                total += coefficient
+            for coefficient, i, j, k, rest in atoms:
+                part = coefficient * values[i] * values[j] * values[k]
+                if rest:
+                    for r in rest:
+                        part *= values[r]
+                total += part
             parts.append(total)
         return parts
 
@@ -292,11 +339,19 @@ def _refine(
     wrap=None,
 ) -> tuple[np.ndarray, float, int]:
     """Shrinking coordinate search; never decreases the incumbent value.
-    ``wrap[d]`` maps a moved coordinate d into its domain (default mod 2 pi)."""
+    ``wrap[d]`` maps a moved coordinate d into its domain (default mod 2 pi).
+
+    A move is taken when its trial beats the incumbent, and a sweep that
+    takes none halves the step.  ``evaluations`` counts the trials; the
+    evaluator runs once per distinct trial point, and a trial point seen
+    before reuses its value.  ``start_value`` is only the value to beat:
+    the start point itself is evaluated if a trial returns to it.
+    """
     wrap = wrap or (_wrap_angle,) * len(start)
     current = [float(x) for x in start]
     best = start_value
     evaluations = 0
+    seen: dict[tuple, float] = {}
     step = initial_step
     while step >= REFINE_TOLERANCE:
         improved = False
@@ -304,7 +359,10 @@ def _refine(
             for delta in (step, -step):
                 trial = current.copy()
                 trial[dim] = wrap[dim](trial[dim] + delta)
-                value = evaluate(trial)
+                point = tuple(trial)
+                value = seen.get(point)
+                if value is None:
+                    value = seen[point] = evaluate(trial)
                 evaluations += 1
                 if value > best:
                     best = value

@@ -9,6 +9,11 @@ broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
 ``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
 its monomial-tensor grid, and ``summed_parts`` sums them one by one at a
 point with ``_sum_atoms``, the oracle of its flat atoms.
+``direct_objective`` builds a ``PlaneObjective``'s atoms, flat atoms and
+grid tensors from the expression and the state alone, the oracle of the
+plan an expression keeps per mode, and ``sequential_refine`` is the
+coordinate search that evaluates every trial, the oracle of ``_refine``'s
+memo of trial points.
 ``loop_reality_counterexample`` checks the three-qubit chain on each of the
 64 z/x strategies in turn, the oracle of ``find_reality_counterexample``'s
 exact-bounds route.
@@ -17,6 +22,7 @@ which the package expresses once, as ``argument``'s vacuous-premise check.
 """
 import math
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,7 +42,8 @@ from bell3q import (
     singlet,
     w,
 )
-from bell3q.qcore import CONDITION_FLOOR
+from bell3q.qcore import CONDITION_FLOOR, PAULI_AXES
+from bell3q.optimize import REFINE_TOLERANCE, _wrap_angle
 
 PAULI_I = np.eye(2, dtype=complex)
 
@@ -255,6 +262,87 @@ def summed_parts(objective, open_angles):
     cos, sin = np.cos(open_angles).tolist(), np.sin(open_angles).tolist()
     starts = [objective.constant] + [0.0] * (len(keys) - 1)
     return [_sum_atoms(v, groups[key], cos, sin) for v, key in zip(starts, keys)]
+
+
+def direct_objective(expression, state, mode):
+    """A ``PlaneObjective``'s state-dependent parts, built directly.
+
+    Returns the constant, the atoms ``(coefficient, factors)`` of every Walsh
+    subset and x/z choice whose tensor entry is at least 1e-15 in size, each
+    group's flat atoms ``(coefficient, open indices)`` and each group's grid
+    tensor (a dict in insertion order), grouped as ``PlaneObjective`` does.
+    """
+    pairs = expression.scheme.pairs()
+    if mode == "symmetric":
+        dims = tuple(dict.fromkeys(label for _, label in pairs))
+        dim_of = {pair: dims.index(pair[1]) for pair in pairs}
+        closed_dims = ()
+    else:
+        dims = pairs
+        dim_of = {pair: i for i, pair in enumerate(pairs)}
+        counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
+        closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
+        closed_dims = tuple(i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit)
+    open_dims = tuple(i for i in range(len(dims)) if i not in closed_dims)
+
+    constant, atoms = 0.0, []
+    for term in expression.terms:
+        labels, walsh = term.payload.labels, term.payload.walsh
+        scale = term.coefficient / walsh.denominator
+        for subset, weight in walsh.weights:
+            if not subset:
+                constant += scale * weight
+                continue
+            for axes in product("xz", repeat=len(subset)):
+                index = [0] * expression.num_qubits
+                for qubit, axis in zip(subset, axes):
+                    index[qubit - 1] = PAULI_AXES.index(axis)
+                entry = float(state.pauli_tensor[tuple(index)])
+                if abs(entry) < 1e-15:
+                    continue
+                factors = tuple(
+                    (dim_of[(qubit, labels[qubit - 1])], axis) for qubit, axis in zip(subset, axes)
+                )
+                atoms.append((scale * weight * entry, factors))
+
+    width = len(open_dims)
+    position = {dim: p for p, dim in enumerate(open_dims)}
+    keys = [None] + [(dim, axis) for dim in closed_dims for axis in "xz"]
+    starts = [constant] + [0.0] * (len(keys) - 1)
+    flat = [[] for _ in keys]
+    tensors = [{((0, 0),) * width: start} for start in starts]
+    for coefficient, factors in atoms:
+        closed = [factor for factor in factors if factor[0] not in position]
+        group = keys.index(closed[0] if closed else None)
+        indices = tuple(position[d] + width * (a == "z") for d, a in factors if d in position)
+        flat[group].append((coefficient, indices))
+        key = tuple((indices.count(p), indices.count(p + width)) for p in range(width))
+        tensors[group][key] = tensors[group].get(key, 0.0) + coefficient
+    return constant, atoms, flat, tensors
+
+
+def sequential_refine(evaluate, start, start_value, initial_step, wrap=None):
+    """``bell3q.optimize._refine`` with every trial evaluated, repeats too."""
+    wrap = wrap or (_wrap_angle,) * len(start)
+    current = [float(x) for x in start]
+    best = start_value
+    evaluations = 0
+    step = initial_step
+    while step >= REFINE_TOLERANCE:
+        improved = False
+        for dim in range(len(current)):
+            for delta in (step, -step):
+                trial = current.copy()
+                trial[dim] = wrap[dim](trial[dim] + delta)
+                value = evaluate(trial)
+                evaluations += 1
+                if value > best:
+                    best = value
+                    current = trial
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return np.array(current), best, evaluations
 
 
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))

@@ -381,6 +381,36 @@ def test_tol_is_refused_where_it_is_not_read(capsys, argv):
     assert "unrecognized arguments: --tol 0.5" in err
 
 
+_UNREAD_BY_OPTIMIZE = [
+    (["--hardy-search", "--state", "w"], "--state"),
+    (["--hardy-search", "--expr", "mermin"], "--expr"),
+    (["--hardy-search", "--mode", "symmetric"], "--mode"),
+    (["--hardy-search", "--grid-step", "0.1"], "--grid-step"),
+    (["--hardy-search", "--budget", "100000000"], "--budget"),
+    (["--hardy-search", "--certify-below", "4.0"], "--certify-below"),
+    (["--state", "w", "--expr", "mermin", "--state-angle", "0.3"], "--state-angle"),
+    (["--state", "ghz", "--expr", "eq14", "--certify-below", "4", "--state-angle", "0.3"], "--state-angle"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _UNREAD_BY_OPTIMIZE, ids=[flag for _, flag in _UNREAD_BY_OPTIMIZE])
+def test_optimize_refuses_flags_it_would_not_read(capsys, argv, flag):
+    # the Hardy search takes only --state-angle, and only it reads that flag;
+    # a default value given explicitly is refused too
+    got, out, err = run_cli(capsys, "optimize", *argv)
+    assert (got, out) == (2, "")
+    assert flag in err
+
+
+def test_optimize_refusal_names_every_unread_flag(capsys):
+    got, out, err = run_cli(
+        capsys, "optimize", "--hardy-search", "--state-angle", "0.3", "--mode", "free",
+        "--state", "w", "--budget", "5",
+    )
+    assert (got, out) == (2, "")
+    assert "--hardy-search does not take --state, --mode, --budget" in err
+
+
 def test_non_finite_state_file_is_refused(tmp_path, capsys):
     path = tmp_path / "nan.txt"
     path.write_text("nan 0\n" + "0 0\n" * 6 + "1 0\n")

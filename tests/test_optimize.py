@@ -14,6 +14,7 @@ in every term, and reflecting both angles through pi/2 conjugates every
 observable by z, which leaves w itself invariant.  The recovered point must
 land on the four-element orbit those symmetries generate.
 """
+import dataclasses
 import math
 from itertools import product
 
@@ -33,16 +34,20 @@ from bell3q import (
     hardy,
     hardy_maximum,
     maximize,
+    parse_expression_text,
     quantum_value,
     singlet,
     w,
 )
-from bell3q.optimize import _hardy_chain
+import bell3q.optimize
+from bell3q.optimize import PlanePlan, _hardy_chain, _refine
 
 from conftest import (
     broadcast_grid_values,
     scalar_hardy_chain,
     scalar_hardy_grid,
+    direct_objective,
+    sequential_refine,
     summed_parts,
 )
 
@@ -124,11 +129,16 @@ def test_certification_as_dict():
 
 
 def test_determinism():
-    first = maximize(catalog("mermin"), w(), "symmetric")
-    second = maximize(catalog("mermin"), w(), "symmetric")
-    assert first.value == second.value
-    assert first.point.angles == second.point.angles
-    assert first.evaluations == second.evaluations
+    # a second call, with the plan the first one built, gives the same payload
+    for name, state, mode in [
+        ("mermin", w(), "symmetric"),
+        ("eq14", ghz(), "symmetric"),
+        ("chsh", singlet(), "free"),
+        ("ch", hardy(0.4347), "free"),
+    ]:
+        first = maximize(catalog(name), state, mode)
+        second = maximize(catalog(name), state, mode)
+        assert first.as_dict() == second.as_dict(), (name, mode)
 
 
 def test_budget_guard_free_three_qubits():
@@ -336,3 +346,185 @@ def test_hardy_maximum_rejects_underflowing_state_angle():
         with pytest.raises(ConfigError):
             hardy_maximum(state_angle=angle)
     assert hardy_maximum(state_angle=1e-6).value >= 0.0
+
+
+def _catalog_cases(rng):
+    """Every catalog entry on GHZ, W, the singlet, hardy(0.4347) and a seeded
+    random state of its size, in both modes; three-qubit free mode at grid
+    step 0.5."""
+    states = {
+        3: (ghz(), w(), _random_state(rng, 3)),
+        2: (singlet(), hardy(0.4347), _random_state(rng, 2)),
+    }
+    for name in catalog_ids():
+        expression = catalog(name)
+        for state, mode in product(states[expression.num_qubits], ("symmetric", "free")):
+            step = 0.5 if (mode, expression.num_qubits) == ("free", 3) else None
+            yield expression, state, mode, step
+
+
+def _shared_label_expression(rng, num_qubits):
+    """A seeded expression of correlators and probabilities on random
+    subsets and outcomes, each qubit's label drawn from A and B per term, so
+    that labels recur across qubits."""
+    lines = []
+    for _ in range(int(rng.integers(2, 6))):
+        labels = " ".join(f"q{q}:{rng.choice(['A', 'B'])}" for q in range(1, num_qubits + 1))
+        coefficient = float(rng.integers(1, 4)) * rng.choice([-1.0, 1.0])
+        if rng.random() < 0.5:
+            size = int(rng.integers(1, num_qubits + 1))
+            subset = sorted(rng.choice(np.arange(1, num_qubits + 1), size, replace=False))
+            lines.append(f"{coefficient} CORR {labels} SUBSET={','.join(map(str, subset))}")
+        else:
+            outcomes = "".join(rng.choice(["+", "-"]) for _ in range(num_qubits))
+            lines.append(f"{coefficient} PROB {labels} ACCEPT={outcomes}")
+    return parse_expression_text("\n".join(lines) + "\n")
+
+
+def test_refinement_memo_matches_the_sequential_oracle():
+    # bit for bit, evaluations included: maximize, certify_below and both
+    # hardy_maximum calls with _refine against the search that evaluates
+    # every trial
+    rng = np.random.default_rng(23)
+    calls = [
+        (maximize, (expression, state, mode), {"grid_step": step})
+        for expression, state, mode, step in _catalog_cases(rng)
+    ]
+    for num_qubits in (2, 2, 3, 3):
+        expression = _shared_label_expression(rng, num_qubits)
+        state = _random_state(rng, num_qubits)
+        calls.append((maximize, (expression, state, "symmetric"), {}))
+        if num_qubits == 2:
+            calls.append((maximize, (expression, state, "free"), {}))
+    calls += [
+        (certify_below, (catalog("eq14"), w(), 4.0), {}),
+        (hardy_maximum, (), {}),
+        (hardy_maximum, (), {"state_angle": 0.3}),
+    ]
+    for function, args, options in calls:
+        found = function(*args, **options).as_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bell3q.optimize, "_refine", sequential_refine)
+            expected = function(*args, **options).as_dict()
+        assert found == expected, (function.__name__, args)
+
+
+def test_refinement_evaluates_each_distinct_trial_once():
+    # the oracle evaluates every trial; _refine evaluates each distinct one
+    # once and still counts every trial
+    rng = np.random.default_rng(29)
+    searches = []
+    for expression, state, mode in [
+        (catalog("mermin"), w(), "symmetric"),
+        (catalog("eq14"), _random_state(rng, 3), "symmetric"),
+        (catalog("ch"), hardy(0.4347), "free"),
+    ]:
+        objective = PlaneObjective(expression, state, mode)
+        start = rng.uniform(0.0, TWO_PI, size=len(objective.open_dims))
+        searches.append((objective.best_value, start, -math.inf, 0.05, None))
+    # the Hardy search's own shape: theta clamped, beta2 wrapped
+    clamp = lambda t: min(max(t, 1e-6), math.pi / 4.0)
+    chain = lambda point: _hardy_chain(*point)[0]
+    searches.append((chain, [0.4, 3.5], -math.inf, 0.05, (clamp, bell3q.optimize._wrap_angle)))
+    for evaluate, start, start_value, step, wrap in searches:
+        trials, calls = [], []
+        expected = sequential_refine(
+            lambda p: trials.append(tuple(p)) or evaluate(p), start, start_value, step, wrap
+        )
+        found = _refine(lambda p: calls.append(tuple(p)) or evaluate(p), start, start_value, step, wrap)
+        assert len(calls) == len(set(calls)) == len(set(trials)) < len(trials)
+        assert set(calls) == set(trials)
+        assert found[2] == expected[2] == len(trials)
+        assert np.array_equal(found[0], expected[0]) and found[1] == expected[1]
+
+
+def test_refinement_evaluates_the_start_point_on_return():
+    # start_value is only the value to beat: 1 ulp below the objective's
+    # value at the start, a flat objective takes the first move, and the
+    # next trial, back at the start, must reach the evaluator
+    start = [0.5, 0.5]
+    calls = []
+
+    def flat(point):
+        calls.append(tuple(point))
+        return 1.0
+
+    below = math.nextafter(flat(start), -math.inf)
+    calls.clear()
+    point, value, evaluations = _refine(flat, np.array(start), below, 0.25)
+    assert calls[:2] == [(0.75, 0.5), (0.5, 0.5)]
+    assert value == 1.0 and np.array_equal(point, [0.75, 0.5])
+    assert evaluations == sequential_refine(flat, start, below, 0.25)[2]
+
+
+def test_plane_plan_is_built_once_per_expression_and_mode(monkeypatch):
+    built = []
+    original = PlanePlan._build.__func__
+
+    def counting(cls, expression, mode):
+        built.append(mode)
+        return original(cls, expression, mode)
+
+    monkeypatch.setattr(PlanePlan, "_build", classmethod(counting))
+    text = "1 CORR q1:A q2:B SUBSET=1,2\n-1 PROB q1:B q2:A ACCEPT=+-\n"
+    expression = parse_expression_text(text)
+    plans = [PlaneObjective(expression, state, "symmetric").plan for state in (singlet(), hardy(0.3))]
+    assert built == ["symmetric"] and plans[0] is plans[1]
+    free = PlaneObjective(expression, singlet(), "free").plan
+    maximize(expression, hardy(0.3), "free")
+    assert built == ["symmetric", "free"] and free is not plans[0]
+    assert expression.plane_plans == {"symmetric": plans[0], "free": free}
+    # two parses of one text are two expressions with a plan each
+    again = parse_expression_text(text)
+    assert PlaneObjective(again, singlet(), "symmetric").plan is not plans[0]
+    assert built == ["symmetric", "free", "symmetric"]
+
+
+def test_plane_plan_is_immutable():
+    plan = PlaneObjective(catalog("mermin"), w(), "free").plan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.constant = 1.0
+    with pytest.raises(ValueError):
+        plan.entries[0] = 0
+    assert all(isinstance(atom, tuple) for atom in plan.atoms)
+    assert isinstance(plan.atoms, tuple) and isinstance(plan.dims, tuple)
+
+
+def test_objective_from_its_plan_matches_a_direct_build():
+    # bit for bit and in the same order: the constant, the atoms, the flat
+    # atoms (padded to three indices with the 1.0 slot) and the grid tensors
+    rng = np.random.default_rng(31)
+    cases = [(expression, state, mode) for expression, state, mode, _ in _catalog_cases(rng)]
+    for num_qubits in (2, 3):
+        expression = _shared_label_expression(rng, num_qubits)
+        for mode in ("symmetric", "free"):
+            cases.append((expression, _random_state(rng, num_qubits), mode))
+    for expression, state, mode in cases:
+        objective = PlaneObjective(expression, state, mode)
+        constant, atoms, flat, tensors = direct_objective(expression, state, mode)
+        pad = 2 * len(objective.open_dims)
+        padded = [
+            [(c, *(indices + (pad,) * 3)[:3], indices[3:]) for c, indices in group]
+            for group in flat
+        ]
+        assert objective.constant == constant
+        assert objective.atoms == atoms
+        assert objective._flat == padded
+        assert [list(t.items()) for t in objective._tensors] == [list(t.items()) for t in tensors]
+
+
+def test_point_form_keeps_factors_beyond_the_third():
+    # states have at most three qubits, but a plan needs only the expression:
+    # a four-qubit atom's fourth open index goes to the trailing tuple, and
+    # the point sum multiplies it in after the first three
+    expression = parse_expression_text("1 CORR q1:A q2:B q3:A q4:B SUBSET=1,2,3,4\n")
+    plan = PlanePlan.of(expression, "symmetric")
+    assert plan.open_dims == (0, 1) and len(plan.atoms) == 16
+    assert {len(point) for _, _, _, point, _ in plan.atoms} == {4}
+    assert all(len(point[3]) == 1 for _, _, _, point, _ in plan.atoms)
+    objective = PlaneObjective.__new__(PlaneObjective)
+    objective._starts, objective._flat = [0.25], [[(0.7, 0, 3, 1, (2, 3)), (-1.3, 4, 4, 4, ())]]
+    angles = [0.3, 1.1]
+    cos, sin = [math.cos(a) for a in angles], [math.sin(a) for a in angles]
+    part = 0.7 * cos[0] * sin[1] * cos[1] * sin[0] * sin[1]
+    assert objective._parts(angles) == [0.25 + part + -1.3 * 1.0 * 1.0 * 1.0]
