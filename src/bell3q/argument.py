@@ -30,6 +30,7 @@ from .qcore import (
     StateVector,
     WalshForm,
     correlation_table,
+    ordered_sum,
     outcome_tuples,
 )
 
@@ -171,7 +172,7 @@ def run_w_argument(
     if None not in values:
         # Both conditional families traverse the same three conditionals,
         # one indexed by the conditioning qubit i, the other by j.
-        p2, p3 = sum(values) / 3, sum(values[1:] + values[:1]) / 3
+        p2, p3 = ordered_sum(values) / 3, ordered_sum(values[1:] + values[:1]) / 3
     structure = W_STRUCTURE if abs(p1 - 1.0) <= atol else GHZ_STRUCTURE
     return _report(state_name, structure, p1, p2, p3, p4, tuple(conditionals), atol)
 

@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument(
         "--hardy-search",
         action="store_true",
-        help="search the sometimes-always-never chain over state and observables; "
-        "takes only --state-angle",
+        help="maximize the sometimes-always-never chain over state and observables, "
+        "in closed form; takes only --state-angle",
     )
     optimize_parser.add_argument(
         "--state-angle", type=float, default=None, help="fix the state angle of --hardy-search"

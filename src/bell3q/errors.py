@@ -30,10 +30,6 @@ class NormalizationError(ContractViolationError):
     """Amplitudes are too far from unit norm to be accepted or renormalized."""
 
 
-class UndefinedConditionalError(ContractViolationError):
-    """A conditional probability was requested on a probability-zero event."""
-
-
 class BudgetExceededError(Bell3qError):
     """A search or enumeration would exceed its evaluation budget."""
 

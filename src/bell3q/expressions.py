@@ -51,6 +51,7 @@ Catalog ids
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolationError, ExpressionFormatError
 from .lhv import ClassicalBounds, DeterministicStrategy, SettingScheme, classical_bounds
-from .qcore import Observable, StateVector, WalshForm, correlation_table
+from .qcore import Observable, StateVector, WalshForm, correlation_table, ordered_sum
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -266,7 +267,7 @@ def term_breakdown(
 
 
 def _combine(breakdown: tuple[tuple[Term, float], ...]) -> float:
-    return sum(term.coefficient * value for term, value in breakdown)
+    return ordered_sum(term.coefficient * value for term, value in breakdown)
 
 
 def quantum_value(
@@ -513,8 +514,9 @@ def parse_expression_text(text: str, name: str = "custom") -> BellExpression:
 
         COEFF PROB q1:LABEL q2:LABEL q3:LABEL ACCEPT=+--,-+-
 
-    with one label per qubit, 1-based subsets, outcome strings built from
-    ``+`` and ``-``, and ``#`` starting a comment.
+    with one label per qubit, finite COEFFs whose magnitudes have a finite
+    sum, 1-based subsets, outcome strings built from ``+`` and ``-``, and
+    ``#`` starting a comment.
     """
     rows: list[tuple[float, str, dict[int, str], str, str]] = []
     num_qubits: int | None = None
@@ -528,8 +530,10 @@ def parse_expression_text(text: str, name: str = "custom") -> BellExpression:
             raise ExpressionFormatError(f"{where}: too few fields in {raw!r}")
         try:
             coefficient = float(tokens[0])
-        except ValueError as exc:
-            raise ExpressionFormatError(f"{where}: bad coefficient {tokens[0]!r}") from exc
+        except ValueError:
+            coefficient = math.nan
+        if not math.isfinite(coefficient):
+            raise ExpressionFormatError(f"{where}: bad coefficient {tokens[0]!r}")
         kind = tokens[1].upper()
         if kind not in ("CORR", "PROB"):
             raise ExpressionFormatError(f"{where}: kind must be CORR or PROB, got {tokens[1]!r}")
@@ -566,6 +570,9 @@ def parse_expression_text(text: str, name: str = "custom") -> BellExpression:
         rows.append((coefficient, kind, labels, tail, where))
     if not rows or num_qubits is None:
         raise ExpressionFormatError("expression file has no terms")
+    magnitude = ordered_sum(abs(row[0]) for row in rows)
+    if not math.isfinite(magnitude):  # every value is at most this in size
+        raise ExpressionFormatError(f"the coefficients' magnitudes sum to {magnitude!r}")
 
     per_qubit_labels: list[list[str]] = [[] for _ in range(num_qubits)]
     for _, _, labels, _, _ in rows:

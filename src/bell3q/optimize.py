@@ -23,8 +23,8 @@ grid contracts each atom group (c, a_l, b_l), a sparse coefficient tensor
 over them, one axis at a time, at a cost of points times monomials; a
 single point sums the group's flat atoms in order on Python floats.  Exact
 symmetries give grid optima that differ only by rounding, so the winner is
-the first point in row order within ``TIE_TOLERANCE`` of the maximum (the
-Hardy grid's rule too).  Runs with the same inputs give identical results.
+the first point in row order within ``TIE_TOLERANCE`` of the maximum.  Runs
+with the same inputs give identical results.
 
 Everything of the polynomial but the state's tensor entries (the dimensions,
 the constant and each candidate atom's weight, tensor index, factors, group,
@@ -42,8 +42,8 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, ContractViolationError
-from .expressions import BellExpression, Binding
-from .qcore import PAULI_AXES, Observable, StateVector
+from .expressions import BellExpression
+from .qcore import PAULI_AXES, Observable, StateVector, ordered_sum
 from . import states
 from .argument import ArgumentReport, run_hardy_argument
 
@@ -146,8 +146,8 @@ class PlaneObjective:
     open angles' cosines and sines.  ``grid_values`` and ``best_value`` take
     the open angles only and give the exact maximum over the closed ones (in
     symmetric mode, where nothing is closed, the plain value); ``complete``
-    recovers the closed angles that reach it, ``value`` evaluates full
-    angles.  All agree with the qcore route to floating point accuracy.
+    recovers the closed angles that reach it.  Both agree with the qcore
+    route to floating point accuracy.
     The expression's ``PlanePlan`` holds everything but the state's tensor
     entries, so a new state only reads those and weights its atoms.
     """
@@ -184,13 +184,6 @@ class PlaneObjective:
     @property
     def num_dims(self) -> int:
         return len(self.dims)
-
-    def value(self, angles: np.ndarray) -> float:
-        """The objective at full angles, one per dimension."""
-        c, *closed = self._parts([angles[dim] for dim in self.open_dims])
-        for dim, a, b in zip(self.closed_dims, closed[::2], closed[1::2]):
-            c += a * math.cos(angles[dim]) + b * math.sin(angles[dim])
-        return float(c)
 
     def _parts(self, open_angles) -> list[float]:
         """c, then a_l and b_l of each closed label, at one open point: each
@@ -248,7 +241,7 @@ class PlaneObjective:
     def best_value(self, open_angles: np.ndarray) -> float:
         """Maximum over the closed angles at one point of the open angles."""
         c, *closed = self._parts(open_angles)
-        return float(c + sum(map(math.hypot, closed[::2], closed[1::2])))
+        return float(c + ordered_sum(map(math.hypot, closed[::2], closed[1::2])))
 
     def complete(self, open_angles: np.ndarray) -> np.ndarray:
         """Full angles: the open ones given, the closed ones at their maximum."""
@@ -258,11 +251,6 @@ class PlaneObjective:
         for dim, a, b in zip(self.closed_dims, closed[::2], closed[1::2]):
             angles[dim] = math.atan2(b, a)
         return angles
-
-    def binding(self, angles: np.ndarray) -> Binding:
-        return AnglePoint(self.mode, self.dims, tuple(float(a) for a in angles)).binding(
-            self.expression.scheme
-        )
 
 
 @dataclass(frozen=True)
@@ -279,12 +267,6 @@ class AnglePoint:
         object.__setattr__(
             self, "angles", tuple(float(a) % TWO_PI for a in self.angles)
         )
-
-    def binding(self, scheme) -> Binding:
-        observables = {dim: Observable.xz_plane(a) for dim, a in zip(self.dims, self.angles)}
-        if self.mode == "symmetric":
-            return Binding.uniform(scheme, observables)
-        return Binding(observables)
 
     def as_dict(self) -> dict[str, float]:
         keys = [
@@ -327,19 +309,11 @@ class CertificationResult:
         }
 
 
-def _wrap_angle(angle: float) -> float:
-    return angle % TWO_PI
-
-
 def _refine(
-    evaluate,
-    start: np.ndarray,
-    start_value: float,
-    initial_step: float,
-    wrap=None,
+    evaluate, start: np.ndarray, start_value: float, initial_step: float
 ) -> tuple[np.ndarray, float, int]:
-    """Shrinking coordinate search; never decreases the incumbent value.
-    ``wrap[d]`` maps a moved coordinate d into its domain (default mod 2 pi).
+    """Shrinking coordinate search over angles taken mod 2 pi; never
+    decreases the incumbent value.
 
     A move is taken when its trial beats the incumbent, and a sweep that
     takes none halves the step.  ``evaluations`` counts the trials; the
@@ -347,7 +321,6 @@ def _refine(
     before reuses its value.  ``start_value`` is only the value to beat:
     the start point itself is evaluated if a trial returns to it.
     """
-    wrap = wrap or (_wrap_angle,) * len(start)
     current = [float(x) for x in start]
     best = start_value
     evaluations = 0
@@ -358,7 +331,7 @@ def _refine(
         for dim in range(len(current)):
             for delta in (step, -step):
                 trial = current.copy()
-                trial[dim] = wrap[dim](trial[dim] + delta)
+                trial[dim] = (trial[dim] + delta) % TWO_PI
                 point = tuple(trial)
                 value = seen.get(point)
                 if value is None:
@@ -425,7 +398,8 @@ def maximize(
     is never worse than the symmetric one.  Raises ConfigError for a grid
     step that is not positive and finite or a budget below 1, and
     BudgetExceededError when the grid would need more than ``budget``
-    evaluations.
+    evaluations, and ContractViolationError when the grid maximum is not
+    finite (coefficients so large that the objective overflows).
     """
     step = grid_step if grid_step is not None else (
         SYMMETRIC_GRID_STEP if mode == "symmetric" else FREE_GRID_STEP
@@ -449,7 +423,10 @@ def maximize(
             f"({open_dims} open dimensions at step {step})"
         )
     axis = np.linspace(0.0, TWO_PI, count, endpoint=False)
-    grid_value, grid_angles = _grid_maximum(objective, axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
+        grid_value, grid_angles = _grid_maximum(objective, axis)
+    if not math.isfinite(grid_value):  # -inf: every slab's maximum was NaN
+        raise ContractViolationError(f"grid maximum {grid_value!r} is not finite")
     evaluations = points
 
     candidates = [(grid_value, grid_angles, step)]
@@ -554,59 +531,41 @@ class HardyOptimum:
 
 
 def hardy_maximum(*, state_angle: float | None = None) -> HardyOptimum:
-    """Maximize the sometimes-always-never chain's first probability.
+    """Maximize the sometimes-always-never chain's first probability, in
+    closed form (Hardy, PRL 71, 1665 (1993); Goldstein, PRL 72, 1951 (1994)).
 
-    Searches jointly over the state angle in [1e-6, pi/4] and the observable
-    angles; the chain's three zero constraints pin four observable angles
-    down to one free angle, so the search runs over (theta, beta2) and the
-    remaining angles are recovered, not asserted.  A 64 x 128 grid, taken in
-    one broadcast, seeds a shrinking coordinate search.  Pass
-    ``state_angle`` to restrict the search to one state; at pi/4 the maximum
-    collapses to 0, and below 1e-6 (where the chain's norms underflow) it is
+    The chain's three zero constraints pin the four observable angles down
+    to one free angle, beta2 (``_hardy_chain``).  On the state
+    cos(theta)|++> + sin(theta)|--> the first probability peaks at
+    [c s (c - s) / (1 - c s)]^2, with c, s = cos theta, sin theta, where
+    tan^2(pi/4 - beta2/2) = cot theta; over the state angle it peaks at
+    sin 2 theta = 3 - sqrt 5, where it is (5 sqrt 5 - 11) / 2.  Pass
+    ``state_angle`` to fix the state; at pi/4 the maximum collapses to 0,
+    and outside [1e-6, pi/4] (below it the chain's norms underflow) it is
     refused with ConfigError.
     The returned value is the ch catalog expression's middle term evaluated
-    at the found configuration, which equals the chain's first probability
-    because the constraint probabilities vanish.
+    at the optimum, which equals the chain's first probability because the
+    constraint probabilities vanish.
     """
     if state_angle is None:
-        thetas = np.linspace(0.005, math.pi / 4.0, 64)
+        theta = 0.5 * math.asin(3.0 - math.sqrt(5.0))
+    elif HARDY_THETA_MIN <= state_angle <= math.pi / 4.0:
+        theta = state_angle
     else:
-        if not HARDY_THETA_MIN <= state_angle <= math.pi / 4.0:
-            raise ConfigError(
-                f"state angle {state_angle!r} outside [{HARDY_THETA_MIN}, pi/4]"
-            )
-        thetas = np.array([state_angle])
-    betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-
-    grid, _ = _hardy_chain(thetas[:, None], betas[None, :])
-    row, column = _first_maximum(grid, grid.max())
-    theta, beta = float(thetas[row]), float(betas[column])
-    # The refinement moves theta, clamped to its range, and beta2, or beta2
-    # alone when the state angle is fixed.
-    if state_angle is None:
-        fixed, start = (), [theta, beta]
-        wrap = (lambda t: min(max(t, HARDY_THETA_MIN), math.pi / 4.0), _wrap_angle)
-    else:
-        fixed, start, wrap = (theta,), [beta], None
-
-    def chain(point):
-        return _hardy_chain(*fixed, *point)
-
-    point, _, used = _refine(
-        lambda point: chain(point)[0], start, float(grid[row, column]), 0.05, wrap
-    )
-    theta_star = float(point[0]) if state_angle is None else theta
-    angles = tuple(float(angle) for angle in chain(point)[1])
+        raise ConfigError(
+            f"state angle {state_angle!r} outside [{HARDY_THETA_MIN}, pi/4]"
+        )
+    beta2 = math.pi / 2.0 + 2.0 * math.atan(math.sqrt(math.cos(theta) / math.sin(theta)))
+    angles = tuple(float(angle) for angle in _hardy_chain(theta, beta2)[1])
     report = run_hardy_argument(
-        states.hardy(theta_star), *map(Observable.xz_plane, angles),
-        state_name=f"hardy:{theta_star}",
+        states.hardy(theta), *map(Observable.xz_plane, angles), state_name=f"hardy:{theta}"
     )
     assert report.ch_middle is not None
     return HardyOptimum(
-        state_angle=theta_star,
+        state_angle=theta,
         angles=angles,
         value=report.ch_middle,
         hardy_probability=report.p1,
         report=report,
-        evaluations=grid.size + used,
+        evaluations=1,
     )

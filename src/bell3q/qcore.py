@@ -19,9 +19,9 @@ of every choice of identity or one observable per qubit
 (``correlation_table``): every label's observable for the expressions under
 a binding, kept by the state for the last key (``StateVector.last_table``);
 every observable of an argument chain, whose contexts read ``(2,) * n``
-sub-tables; one per qubit for a measurement context.  Probabilities expand
-into those correlators through ``[s = o] = (1 + o s) / 2``; ``WalshForm``
-holds the integer weight of each subset, which the other modules read.
+sub-tables.  Probabilities expand into those correlators through
+``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight of each
+subset, which the other modules read.
 """
 from __future__ import annotations
 
@@ -50,6 +50,16 @@ _PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.  Builtin ``sum`` compensates
+    floats from Python 3.12 on, which would move results by an ulp between
+    versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def outcome_tuples(num_qubits: int) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +132,7 @@ class Observable:
         direction = tuple(float(c) for c in self.direction)
         if len(direction) != 3:
             raise ContractViolationError("direction must have three components")
-        norm = math.sqrt(sum(c * c for c in direction))
+        norm = math.sqrt(ordered_sum(c * c for c in direction))
         if not abs(norm - 1.0) <= NORM_ATOL:  # also refuses NaN and inf
             raise ContractViolationError(
                 f"direction norm {norm!r} deviates from 1 by more than {NORM_ATOL}"
@@ -148,30 +158,11 @@ class Observable:
             raise ContractViolationError(f"angle {theta!r} must be finite")
         return cls((math.cos(theta), 0.0, math.sin(theta)))
 
-    def matrix(self) -> np.ndarray:
-        nx, ny, nz = self.direction
-        return nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-
-    def projector(self, outcome: int) -> np.ndarray:
-        if outcome not in (1, -1):
-            raise ContractViolationError(f"outcome must be +1 or -1, got {outcome!r}")
-        return (PAULI_I + outcome * self.matrix()) / 2.0
-
 
 def _observable(obs) -> Observable:
     if not isinstance(obs, Observable):
         raise ContractViolationError(f"not an observable: {obs!r}")
     return obs
-
-
-@dataclass(frozen=True)
-class MeasurementContext:
-    """One observable per qubit, measured jointly."""
-
-    observables: tuple[Observable, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "observables", tuple(map(_observable, self.observables)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,18 +192,6 @@ class DensityMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-def _check_outcomes(num_qubits: int, outcomes: Sequence[int]) -> tuple[int, ...]:
-    outcomes = tuple(outcomes)
-    if len(outcomes) != num_qubits:
-        raise ContractViolationError(
-            f"expected {num_qubits} outcomes, got {len(outcomes)}"
-        )
-    for value in outcomes:
-        if value not in (1, -1):
-            raise ContractViolationError(f"outcome must be +1 or -1, got {value!r}")
-    return outcomes
 
 
 @cache
@@ -303,51 +282,6 @@ def correlation_table(
     return table.reshape(tuple(1 + len(per_qubit) for per_qubit in observables))
 
 
-def outcome_probability(
-    state: StateVector, context: MeasurementContext, outcomes: Sequence[int]
-) -> float:
-    """Joint probability of one outcome tuple in a measurement context,
-    ``<psi| P_1 x ... x P_n |psi>`` with per-qubit projectors ``P_q``."""
-    return event_probability(state, context, (outcomes,))
-
-
-def event_probability(
-    state: StateVector,
-    context: MeasurementContext,
-    accepted: Iterable[Sequence[int]],
-) -> float:
-    """Probability that the joint outcome falls in a set of tuples."""
-    unique = {_check_outcomes(state.num_qubits, o) for o in accepted}
-    table = correlation_table(state, [(o,) for o in context.observables])
-    return WalshForm.of_event(unique, state.num_qubits).value(table)
-
-
-def correlator(
-    state: StateVector,
-    context: MeasurementContext,
-    subset: Iterable[int] | None = None,
-) -> float:
-    """Expectation of the product of outcomes over a subset of qubits.
-
-    Parameters
-    ----------
-    subset : iterable of 1-based qubit indices, defaults to all qubits.
-
-    Marginal correlators do not depend on the observables outside the
-    subset.
-    """
-    qubits = (
-        tuple(range(1, state.num_qubits + 1)) if subset is None else tuple(sorted(set(subset)))
-    )
-    if not qubits:
-        raise ContractViolationError("correlator subset must be non-empty")
-    for q in qubits:
-        if not 1 <= q <= state.num_qubits:
-            raise ContractViolationError(f"qubit index {q} out of range")
-    table = correlation_table(state, [(o,) for o in context.observables])
-    return float(table.reshape(-1)[_subsets(state.num_qubits)[qubits]])
-
-
 def partial_trace(state: StateVector, traced_qubit: int) -> DensityMatrix:
     """Reduced two-qubit density matrix after tracing out one qubit of three."""
     if state.num_qubits != 3:
@@ -371,13 +305,3 @@ def concurrence(rho: DensityMatrix) -> float:
     roots = np.sqrt(np.clip(np.real(eigenvalues), 0.0, None))
     roots[::-1].sort()
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
-
-
-def permute_qubits(state: StateVector, permutation: Sequence[int]) -> StateVector:
-    """Reorder qubits so that new qubit ``i`` is old qubit ``permutation[i-1]``."""
-    perm = tuple(permutation)
-    if sorted(perm) != list(range(1, state.num_qubits + 1)):
-        raise ContractViolationError(f"not a permutation of qubits: {perm!r}")
-    tensor = state.amplitudes.reshape((2,) * state.num_qubits)
-    reordered = np.transpose(tensor, axes=[q - 1 for q in perm])
-    return StateVector(state.num_qubits, reordered.reshape(-1))

@@ -1,14 +1,23 @@
 """Shared fixtures and oracle helpers for the test suite.
 
-The ``kron_*`` helpers evaluate quantum values the direct way, building
-Kronecker-product projectors and operators on the amplitude vector.  They
-share no code with the package's compiled route (Pauli correlation tensor
-and Walsh weights) and serve as its oracle.  ``scalar_hardy_*`` is the
+``MeasurementContext``, ``outcome_probability``, ``event_probability`` and
+``correlator`` read one measurement context at a time through the
+package's ``correlation_table`` and ``WalshForm``; ``permute_qubits``,
+``observable_matrix`` and ``projector`` are the matrix forms of states and
+observables.  The ``kron_*`` helpers evaluate quantum values the direct
+way, building Kronecker-product projectors and operators on the amplitude
+vector from this module's Pauli matrices.  They share no code with the
+package's compiled route (Pauli correlation tensor and Walsh weights) and
+serve as its oracle.  ``scalar_hardy_*`` is the
 one-point-at-a-time Hardy chain and grid loop, the oracle of the
-broadcast search in ``bell3q.optimize``.  ``broadcast_grid_values`` sums a
+broadcast ``_hardy_chain`` in ``bell3q.optimize``, and ``grid_hardy_search``
+the 64 x 128 grid plus coordinate search, the oracle of ``hardy_maximum``'s
+closed form.  ``broadcast_grid_values`` sums a
 ``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
 its monomial-tensor grid, and ``summed_parts`` sums them one by one at a
 point with ``_sum_atoms``, the oracle of its flat atoms.
+``plane_value`` and ``plane_binding`` evaluate a ``PlaneObjective`` at full
+angles, the oracle of its closed-qubit maximum.
 ``direct_objective`` builds a ``PlaneObjective``'s atoms, flat atoms and
 grid tensors from the expression and the state alone, the oracle of the
 plan an expression keeps per mode, and ``sequential_refine`` is the
@@ -21,6 +30,7 @@ exact-bounds route.
 which the package expresses once, as ``argument``'s vacuous-premise check.
 """
 import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -29,23 +39,99 @@ import pytest
 
 from bell3q import (
     Binding,
+    ContractViolationError,
     CorrelatorTerm,
-    MeasurementContext,
     Observable,
     SettingScheme,
     StateVector,
-    UndefinedConditionalError,
     enumerate_strategies,
-    event_probability,
     ghz,
     outcome_tuples,
     singlet,
     w,
 )
-from bell3q.qcore import CONDITION_FLOOR, PAULI_AXES
-from bell3q.optimize import REFINE_TOLERANCE, _wrap_angle
+from bell3q.qcore import CONDITION_FLOOR, PAULI_AXES, WalshForm, _subsets, correlation_table
+from bell3q.optimize import REFINE_TOLERANCE, _first_maximum, _hardy_chain
 
 PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+class UndefinedConditionalError(ContractViolationError):
+    """A conditional probability was requested on a probability-zero event."""
+
+
+def observable_matrix(obs):
+    nx, ny, nz = obs.direction
+    return nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
+
+
+def projector(obs, outcome):
+    if outcome not in (1, -1):
+        raise ContractViolationError(f"outcome must be +1 or -1, got {outcome!r}")
+    return (PAULI_I + outcome * observable_matrix(obs)) / 2.0
+
+
+@dataclass(frozen=True)
+class MeasurementContext:
+    """One observable per qubit, measured jointly."""
+
+    observables: tuple
+
+    def __post_init__(self):
+        for obs in self.observables:
+            if not isinstance(obs, Observable):
+                raise ContractViolationError(f"not an observable: {obs!r}")
+
+
+def _check_outcomes(num_qubits, outcomes):
+    outcomes = tuple(outcomes)
+    if len(outcomes) != num_qubits:
+        raise ContractViolationError(f"expected {num_qubits} outcomes, got {len(outcomes)}")
+    for value in outcomes:
+        if value not in (1, -1):
+            raise ContractViolationError(f"outcome must be +1 or -1, got {value!r}")
+    return outcomes
+
+
+def event_probability(state, context, accepted):
+    """Probability that the joint outcome in one context falls in a set of
+    tuples: the context's ``(2,) * n`` correlation table read by the event's
+    Walsh form."""
+    unique = {_check_outcomes(state.num_qubits, o) for o in accepted}
+    table = correlation_table(state, [(o,) for o in context.observables])
+    return WalshForm.of_event(unique, state.num_qubits).value(table)
+
+
+def outcome_probability(state, context, outcomes):
+    return event_probability(state, context, (outcomes,))
+
+
+def correlator(state, context, subset=None):
+    """Expectation of the product of outcomes over a subset of 1-based
+    qubits, all of them by default."""
+    qubits = (
+        tuple(range(1, state.num_qubits + 1)) if subset is None else tuple(sorted(set(subset)))
+    )
+    if not qubits:
+        raise ContractViolationError("correlator subset must be non-empty")
+    for q in qubits:
+        if not 1 <= q <= state.num_qubits:
+            raise ContractViolationError(f"qubit index {q} out of range")
+    table = correlation_table(state, [(o,) for o in context.observables])
+    return float(table.reshape(-1)[_subsets(state.num_qubits)[qubits]])
+
+
+def permute_qubits(state, permutation):
+    """Reorder qubits so that new qubit ``i`` is old qubit ``permutation[i-1]``."""
+    perm = tuple(permutation)
+    if sorted(perm) != list(range(1, state.num_qubits + 1)):
+        raise ContractViolationError(f"not a permutation of qubits: {perm!r}")
+    tensor = state.amplitudes.reshape((2,) * state.num_qubits)
+    reordered = np.transpose(tensor, axes=[q - 1 for q in perm])
+    return StateVector(state.num_qubits, reordered.reshape(-1))
 
 
 @pytest.fixture
@@ -96,18 +182,18 @@ def zx_binding(scheme):
 
 def kron_outcome_probability(state, context, outcomes):
     """``|| (P_1 x ... x P_n) |psi> ||^2`` with per-qubit projectors."""
-    projector = reduce(
+    joint = reduce(
         np.kron,
-        [obs.projector(o) for obs, o in zip(context.observables, outcomes)],
+        [projector(obs, o) for obs, o in zip(context.observables, outcomes)],
     )
-    projected = projector @ state.amplitudes
+    projected = joint @ state.amplitudes
     return float(np.real(np.vdot(projected, projected)))
 
 
 def kron_correlator(state, context, subset):
     """``<psi| M |psi>`` with the subset's observables, identity elsewhere."""
     factors = [
-        obs.matrix() if q in subset else PAULI_I
+        observable_matrix(obs) if q in subset else PAULI_I
         for q, obs in enumerate(context.observables, start=1)
     ]
     operator = reduce(np.kron, factors)
@@ -205,6 +291,53 @@ def scalar_hardy_grid(thetas, betas):
             if values[i, j] > best_value:
                 best_value, winner = values[i, j], (i, j)
     return values, winner
+
+
+def _wrap_angle(angle):
+    return angle % (2.0 * math.pi)
+
+
+def grid_hardy_search(state_angle=None):
+    """The chain's first probability maximized by search: the 64 x 128 grid
+    over (theta, beta2), or beta2 alone at a given state angle, then a
+    shrinking coordinate search from its first maximum, theta clamped to
+    [1e-6, pi/4].  Returns p1, theta and the four angles."""
+    if state_angle is None:
+        thetas = np.linspace(0.005, math.pi / 4.0, 64)
+    else:
+        thetas = np.array([state_angle])
+    betas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    grid, _ = _hardy_chain(thetas[:, None], betas[None, :])
+    row, column = _first_maximum(grid, grid.max())
+    theta, beta = float(thetas[row]), float(betas[column])
+    if state_angle is None:
+        fixed, start = (), [theta, beta]
+        wrap = (lambda t: min(max(t, 1e-6), math.pi / 4.0), _wrap_angle)
+    else:
+        fixed, start, wrap = (theta,), [beta], None
+    point, p1, _ = sequential_refine(
+        lambda point: _hardy_chain(*fixed, *point)[0], start, float(grid[row, column]), 0.05, wrap
+    )
+    theta = float(point[0]) if state_angle is None else theta
+    _, angles = _hardy_chain(*fixed, *point)
+    return p1, theta, tuple(float(angle) for angle in angles)
+
+
+def plane_binding(objective, angles):
+    """The binding of a ``PlaneObjective``'s full angles, one per dimension."""
+    observables = {dim: Observable.xz_plane(a) for dim, a in zip(objective.dims, angles)}
+    if objective.mode == "symmetric":
+        return Binding.uniform(objective.expression.scheme, observables)
+    return Binding(observables)
+
+
+def plane_value(objective, angles):
+    """A ``PlaneObjective`` at full angles: its open angles' parts, each
+    closed label's a_l cos t_l + b_l sin t_l added to c."""
+    c, *closed = objective._parts([angles[dim] for dim in objective.open_dims])
+    for dim, a, b in zip(objective.closed_dims, closed[::2], closed[1::2]):
+        c += a * math.cos(angles[dim]) + b * math.sin(angles[dim])
+    return float(c)
 
 
 def broadcast_grid_values(objective, axes):

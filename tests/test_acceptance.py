@@ -12,7 +12,6 @@ from itertools import permutations, product
 import numpy as np
 
 from bell3q import (
-    MeasurementContext,
     Observable,
     StateVector,
     catalog,
@@ -24,10 +23,8 @@ from bell3q import (
     ghz,
     hardy_maximum,
     maximize,
-    outcome_probability,
     outcome_tuples,
     partial_trace,
-    permute_qubits,
     quantum_value,
     run_w_argument,
     singlet,
@@ -35,7 +32,9 @@ from bell3q import (
     w,
 )
 
-from conftest import zx_binding
+from bell3q.qcore import WalshForm, correlation_table
+
+from conftest import permute_qubits, projector, zx_binding
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +233,14 @@ def test_criterion_8_reduction_concurrences():
     )
 
 
+def _probabilities(state, combo, events):
+    """P(event) for each event, a set of outcome tuples, in the context of
+    one observable per qubit: its correlation table read by the event's
+    Walsh form."""
+    table = correlation_table(state, [(obs,) for obs in combo])
+    return [WalshForm.of_event(event, state.num_qubits).value(table) for event in events]
+
+
 def test_criterion_9_property_suite():
     observables = {
         "z": Observable.z(),
@@ -244,7 +251,7 @@ def test_criterion_9_property_suite():
 
     # normalization and projector algebra over the full z/x/y context grid
     for name, obs in observables.items():
-        plus, minus = obs.projector(1), obs.projector(-1)
+        plus, minus = projector(obs, 1), projector(obs, -1)
         checks.append(np.allclose(plus + minus, np.eye(2), atol=1e-12))
         checks.append(np.allclose(plus @ plus, plus, atol=1e-12))
 
@@ -252,10 +259,7 @@ def test_criterion_9_property_suite():
     for state in states.values():
         n = state.num_qubits
         for combo in product(observables.values(), repeat=n):
-            context = MeasurementContext(combo)
-            probabilities = [
-                outcome_probability(state, context, o) for o in outcome_tuples(n)
-            ]
+            probabilities = _probabilities(state, combo, [{o} for o in outcome_tuples(n)])
             checks.append(all(p >= -1e-12 for p in probabilities))
             checks.append(_close(sum(probabilities), 1.0, 1e-9))
 
@@ -266,28 +270,20 @@ def test_criterion_9_property_suite():
             for combo in product(observables.values(), repeat=3):
                 if combo[qubit - 1] is not observables["z"]:
                     continue
-                context = MeasurementContext(combo)
-                marginal = sum(
-                    outcome_probability(state, context, o)
-                    for o in outcome_tuples(3)
-                    if o[qubit - 1] == -1
-                )
+                marginal = _probabilities(
+                    state, combo, [{o for o in outcome_tuples(3) if o[qubit - 1] == -1}]
+                )[0]
                 marginals.add(round(marginal, 9))
             checks.append(len(marginals) == 1)
 
     # global phase invariance
     rotated = StateVector(3, np.exp(0.3j) * w().amplitudes)
-    context = MeasurementContext(
-        (observables["x"], observables["y"], observables["z"])
-    )
+    combo = (observables["x"], observables["y"], observables["z"])
+    singles = [{o} for o in outcome_tuples(3)]
     checks.append(
         all(
-            _close(
-                outcome_probability(rotated, context, o),
-                outcome_probability(w(), context, o),
-                1e-12,
-            )
-            for o in outcome_tuples(3)
+            _close(p, q, 1e-12)
+            for p, q in zip(_probabilities(rotated, combo, singles), _probabilities(w(), combo, singles))
         )
     )
 

@@ -421,6 +421,33 @@ def test_non_finite_state_file_is_refused(tmp_path, capsys):
     assert "norm nan" in err
 
 
+_OVERFLOWING_EXPRESSIONS = {
+    "1e308-and-1": ("w", "1e308 CORR q1:A q2:A q3:A SUBSET=1,2,3\n-1 CORR q1:B q2:B q3:B SUBSET=1,2,3\n"),
+    "1e308-twice": ("w", "1e308 CORR q1:A q2:A q3:A SUBSET=1,2,3\n1e308 CORR q1:B q2:B q3:B SUBSET=1,2,3\n"),
+    "nan": ("singlet", "nan CORR q1:A q2:A SUBSET=1,2\n"),
+}
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "free"])
+@pytest.mark.parametrize("name", list(_OVERFLOWING_EXPRESSIONS))
+def test_overflowing_coefficients_end_cleanly(tmp_path, capsys, name, mode):
+    # a refused coefficient exits 2; a grid that overflows to NaN exits 3
+    state, text = _OVERFLOWING_EXPRESSIONS[name]
+    path = tmp_path / "expr.txt"
+    path.write_text(text)
+    expr = ["--expr", f"file:{path}"]
+    code, out, err = run_cli(capsys, "optimize", "--state", state, *expr, "--mode", mode)
+    assert (code in (2, 3), out) == (True, "")
+    assert "error" in err
+    for argv in (["eval", "--state", state, *expr, "--bind", "A=z,B=x"], ["bounds", *expr]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), err
+        if code == 0:
+            _strict_json(out)
+        else:
+            assert out == ""
+
+
 @pytest.mark.parametrize("out_format", ["json", "csv", "text"])
 def test_non_finite_output_is_a_contract_violation(monkeypatch, capsys, out_format):
     def handler(args):
@@ -486,10 +513,16 @@ _NUMBERS = st.one_of(
 )
 
 
+_EXPRESSION_FILE = "file:<expression>"
+
+
 @st.composite
 def numeric_commands(draw):
+    """An argv, and the text of the expression file that ``_EXPRESSION_FILE``
+    in it names: two three-qubit correlators with coefficients x and y."""
     x, y = draw(_NUMBERS), draw(_NUMBERS)
     budget = str(draw(st.integers(-5, 5000)))
+    expression = f"{x} CORR q1:A q2:A q3:A SUBSET=1,2,3\n{y} CORR q1:B q2:B q3:B SUBSET=1,2,3\n"
     commands = [
         ["eval", "--state", "w", "--expr", "mermin", "--bind", f"A=angle:{x},B=x", "--tol", y],
         ["optimize", "--state", "w", "--expr", "mermin", "--grid-step", x, "--budget", budget],
@@ -500,13 +533,20 @@ def numeric_commands(draw):
         ["argue", "--state", f"hardy:{x}", "--angles", f"{y},1,{x},2", "--tol", y],
         ["optimize", "--hardy-search", "--state-angle", x],
         ["states", "--state", f"hardy:{x}", "--out", "csv"],
+        ["eval", "--state", "w", "--expr", _EXPRESSION_FILE, "--bind", "A=z,B=x"],
+        ["bounds", "--expr", _EXPRESSION_FILE],
+        ["optimize", "--state", "w", "--expr", _EXPRESSION_FILE],
     ]
-    return draw(st.sampled_from(commands))
+    return draw(st.sampled_from(commands)), expression
 
 
-@settings(max_examples=40, deadline=None)
-@given(argv=numeric_commands())
-def test_generated_numeric_arguments_end_cleanly(argv):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=numeric_commands())
+def test_generated_numeric_arguments_end_cleanly(tmp_path_factory, command):
+    argv, expression = command
+    path = tmp_path_factory.getbasetemp() / "numeric-expression.txt"
+    path.write_text(expression)
+    argv = [f"file:{path}" if arg == _EXPRESSION_FILE else arg for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

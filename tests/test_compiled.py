@@ -32,13 +32,10 @@ from bell3q import (
     catalog,
     catalog_ids,
     classical_bounds,
-    correlator,
     enumerate_strategies,
     evaluate_report,
-    event_probability,
     ghz,
     hardy,
-    outcome_probability,
     outcome_tuples,
     parse_expression_text,
     quantum_value,
@@ -50,11 +47,14 @@ from bell3q import (
 from bell3q.qcore import WalshForm, correlation_table
 
 from conftest import (
+    correlator,
     count_calls,
+    event_probability,
     kron_correlator,
     kron_outcome_probability,
     kron_term_value,
     make_context,
+    outcome_probability,
     zx_binding,
 )
 

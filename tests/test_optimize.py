@@ -44,9 +44,12 @@ from bell3q.optimize import PlanePlan, _hardy_chain, _refine
 
 from conftest import (
     broadcast_grid_values,
+    direct_objective,
+    grid_hardy_search,
+    plane_binding,
+    plane_value,
     scalar_hardy_chain,
     scalar_hardy_grid,
-    direct_objective,
     sequential_refine,
     summed_parts,
 )
@@ -165,8 +168,8 @@ def test_objective_matches_quantum_value():
                 objective = PlaneObjective(expression, state, mode)
                 for _ in range(3):
                     angles = rng.uniform(0.0, TWO_PI, size=objective.num_dims)
-                    binding = objective.binding(angles)
-                    assert objective.value(angles) == pytest.approx(
+                    binding = plane_binding(objective, angles)
+                    assert plane_value(objective, angles) == pytest.approx(
                         quantum_value(expression, state, binding), abs=1e-12
                     ), (name, mode)
 
@@ -179,7 +182,7 @@ def test_objective_grid_matches_pointwise():
     for i in range(7):
         for j in range(7):
             assert grid[i, j] == pytest.approx(
-                objective.value(np.array([axes[0][i], axes[1][j]])), abs=1e-12
+                plane_value(objective, np.array([axes[0][i], axes[1][j]])), abs=1e-12
             )
 
 
@@ -188,8 +191,8 @@ def test_mermin_negates_under_a_global_angle_shift():
     # angles by pi negates the value
     objective = PlaneObjective(catalog("mermin"), w(), "symmetric")
     point = np.array([0.7, 2.1])
-    assert objective.value(point + math.pi) == pytest.approx(
-        -objective.value(point), abs=1e-12
+    assert plane_value(objective, point + math.pi) == pytest.approx(
+        -plane_value(objective, point), abs=1e-12
     )
 
 
@@ -210,6 +213,26 @@ def test_hardy_maximum_frozen_values():
     assert optimum.evaluations > 0
     payload = optimum.as_dict()
     assert set(payload["angles"]) == {"a1", "b1", "a2", "b2"}
+
+
+def test_hardy_maximum_is_the_closed_form():
+    # sin 2 theta* = 3 - sqrt 5, where P = (5 sqrt 5 - 11) / 2 and both
+    # premise probabilities are sqrt 5 - 2; never below the grid search
+    optimum = hardy_maximum()
+    assert abs(optimum.state_angle - 0.5 * math.asin(3.0 - math.sqrt(5.0))) <= 1e-15
+    assert abs(optimum.value - GOLDEN_RATIO_PROBABILITY) <= 1e-15
+    for check in optimum.report.conditionals:
+        assert abs(check.premise_probability - (math.sqrt(5.0) - 2.0)) <= 1e-15
+    assert optimum.value >= grid_hardy_search()[0] - 1e-12
+
+
+def test_hardy_maximum_at_a_fixed_state_angle():
+    # [c s (c - s) / (1 - c s)]^2 on cos(theta)|++> + sin(theta)|-->
+    for theta in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, math.pi / 4.0):
+        c, s = math.cos(theta), math.sin(theta)
+        value = hardy_maximum(state_angle=theta).value
+        assert abs(value - (c * s * (c - s) / (1.0 - c * s)) ** 2) <= 1e-14, theta
+        assert value >= grid_hardy_search(theta)[0] - 1e-12, theta
 
 
 def test_hardy_maximum_at_the_maximally_entangled_boundary():
@@ -288,12 +311,12 @@ def test_closed_qubit_oracle():
             best = objective.best_value(open_angles)
             angles = objective.complete(open_angles)
             assert np.array_equal(angles[list(objective.open_dims)], open_angles)
-            assert best == pytest.approx(objective.value(angles), abs=1e-12), name
+            assert best == pytest.approx(plane_value(objective, angles), abs=1e-12), name
             for dim in objective.closed_dims:
                 trial = angles.copy()
                 for t in scan:
                     trial[dim] = t
-                    assert objective.value(trial) <= best + 1e-12, (name, dim)
+                    assert plane_value(objective, trial) <= best + 1e-12, (name, dim)
 
 
 def test_flat_atoms_match_the_summed_oracle():
@@ -382,9 +405,8 @@ def _shared_label_expression(rng, num_qubits):
 
 
 def test_refinement_memo_matches_the_sequential_oracle():
-    # bit for bit, evaluations included: maximize, certify_below and both
-    # hardy_maximum calls with _refine against the search that evaluates
-    # every trial
+    # bit for bit, evaluations included: maximize and certify_below with
+    # _refine against the search that evaluates every trial
     rng = np.random.default_rng(23)
     calls = [
         (maximize, (expression, state, mode), {"grid_step": step})
@@ -398,8 +420,6 @@ def test_refinement_memo_matches_the_sequential_oracle():
             calls.append((maximize, (expression, state, "free"), {}))
     calls += [
         (certify_below, (catalog("eq14"), w(), 4.0), {}),
-        (hardy_maximum, (), {}),
-        (hardy_maximum, (), {"state_angle": 0.3}),
     ]
     for function, args, options in calls:
         found = function(*args, **options).as_dict()
@@ -421,17 +441,13 @@ def test_refinement_evaluates_each_distinct_trial_once():
     ]:
         objective = PlaneObjective(expression, state, mode)
         start = rng.uniform(0.0, TWO_PI, size=len(objective.open_dims))
-        searches.append((objective.best_value, start, -math.inf, 0.05, None))
-    # the Hardy search's own shape: theta clamped, beta2 wrapped
-    clamp = lambda t: min(max(t, 1e-6), math.pi / 4.0)
-    chain = lambda point: _hardy_chain(*point)[0]
-    searches.append((chain, [0.4, 3.5], -math.inf, 0.05, (clamp, bell3q.optimize._wrap_angle)))
-    for evaluate, start, start_value, step, wrap in searches:
+        searches.append((objective.best_value, start, -math.inf, 0.05))
+    for evaluate, start, start_value, step in searches:
         trials, calls = [], []
         expected = sequential_refine(
-            lambda p: trials.append(tuple(p)) or evaluate(p), start, start_value, step, wrap
+            lambda p: trials.append(tuple(p)) or evaluate(p), start, start_value, step
         )
-        found = _refine(lambda p: calls.append(tuple(p)) or evaluate(p), start, start_value, step, wrap)
+        found = _refine(lambda p: calls.append(tuple(p)) or evaluate(p), start, start_value, step)
         assert len(calls) == len(set(calls)) == len(set(trials)) < len(trials)
         assert set(calls) == set(trials)
         assert found[2] == expected[2] == len(trials)

@@ -23,26 +23,28 @@ from hypothesis import strategies as st
 from bell3q import (
     ContractViolationError,
     DensityMatrix,
-    MeasurementContext,
     Observable,
     StateVector,
-    UndefinedConditionalError,
     basis_index,
     concurrence,
-    correlator,
-    event_probability,
-    outcome_probability,
     outcome_tuples,
     partial_trace,
-    permute_qubits,
 )
 
 from conftest import (
+    MeasurementContext,
+    UndefinedConditionalError,
     all_z,
     basis_state,
     brute_force_correlator,
     conditional_probability,
+    correlator,
+    event_probability,
     make_context,
+    observable_matrix,
+    outcome_probability,
+    permute_qubits,
+    projector,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -172,7 +174,7 @@ def test_observable_contracts():
     with pytest.raises(ContractViolationError):
         Observable((1.0, 1.0, 0.0))
     with pytest.raises(ContractViolationError):
-        Observable.z().projector(0)
+        projector(Observable.z(), 0)
     direction = Observable.xz_plane(0.25).direction
     assert direction[0] == pytest.approx(math.cos(0.25))
     assert direction[1] == 0.0
@@ -184,12 +186,12 @@ def test_projector_algebra_random_directions():
     for _ in range(10):
         vec = rng.normal(size=3)
         obs = Observable(tuple(vec / np.linalg.norm(vec)))
-        plus, minus = obs.projector(1), obs.projector(-1)
+        plus, minus = projector(obs, 1), projector(obs, -1)
         assert np.allclose(plus + minus, np.eye(2), atol=1e-12)
         assert np.allclose(plus @ plus, plus, atol=1e-12)
         assert np.allclose(plus @ minus, np.zeros((2, 2)), atol=1e-12)
         assert np.allclose(
-            plus - minus, obs.matrix(), atol=1e-12
+            plus - minus, observable_matrix(obs), atol=1e-12
         )
 
 

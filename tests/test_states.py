@@ -14,10 +14,11 @@ from bell3q import (
     ghz,
     hardy,
     load_custom,
-    permute_qubits,
     singlet,
     w,
 )
+
+from conftest import permute_qubits
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
