@@ -496,8 +496,7 @@ def _hardy_chain(theta, beta2):
     the three zero constraints of the chain (a1 = +1 forces b2 = +1,
     a2 = +1 forces b1 = +1, never b1 = b2 = +1) determine a1, b1 and a2
     uniquely, so (theta, beta2) parameterizes every chain configuration.
-    Returns the chain's first probability and the four observable angles.
-    Both arguments may be numpy arrays; the results broadcast over them.
+    Returns the four observable angles.
     """
     c, s = np.cos(theta), np.sin(theta)
     half = math.pi / 4.0 - beta2 / 2.0
@@ -505,9 +504,8 @@ def _hardy_chain(theta, beta2):
     a1 = _unit_orthogonal(-c * v, s * u)
     b1 = _unit_orthogonal(c * u, s * v)
     a2 = _unit_orthogonal(-c * b1[1], s * b1[0])  # amplitudes times b1's -1
-    p1 = (a1[0] * c * a2[0] + a1[1] * s * a2[1]) ** 2
     angles = tuple(_plus_eigenvector_angle(*vector) for vector in (a1, b1, a2))
-    return p1, angles + (beta2 % TWO_PI,)
+    return angles + (beta2 % TWO_PI,)
 
 
 @dataclass(frozen=True)
@@ -556,7 +554,7 @@ def hardy_maximum(*, state_angle: float | None = None) -> HardyOptimum:
             f"state angle {state_angle!r} outside [{HARDY_THETA_MIN}, pi/4]"
         )
     beta2 = math.pi / 2.0 + 2.0 * math.atan(math.sqrt(math.cos(theta) / math.sin(theta)))
-    angles = tuple(float(angle) for angle in _hardy_chain(theta, beta2)[1])
+    angles = tuple(float(angle) for angle in _hardy_chain(theta, beta2))
     report = run_hardy_argument(
         states.hardy(theta), *map(Observable.xz_plane, angles), state_name=f"hardy:{theta}"
     )

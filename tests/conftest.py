@@ -9,10 +9,11 @@ way, building Kronecker-product projectors and operators on the amplitude
 vector from this module's Pauli matrices.  They share no code with the
 package's compiled route (Pauli correlation tensor and Walsh weights) and
 serve as its oracle.  ``scalar_hardy_*`` is the
-one-point-at-a-time Hardy chain and grid loop, the oracle of the
-broadcast ``_hardy_chain`` in ``bell3q.optimize``, and ``grid_hardy_search``
-the 64 x 128 grid plus coordinate search, the oracle of ``hardy_maximum``'s
-closed form.  ``broadcast_grid_values`` sums a
+one-point-at-a-time Hardy chain and grid loop, the oracle of
+``hardy_chain_probability``, which broadcasts ``_hardy_chain`` in
+``bell3q.optimize`` and adds the chain's first probability, and
+``grid_hardy_search`` the 64 x 128 grid plus coordinate search, the oracle
+of ``hardy_maximum``'s closed form.  ``broadcast_grid_values`` sums a
 ``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
 its monomial-tensor grid, and ``summed_parts`` sums them one by one at a
 point with ``_sum_atoms``, the oracle of its flat atoms.
@@ -293,6 +294,17 @@ def scalar_hardy_grid(thetas, betas):
     return values, winner
 
 
+def hardy_chain_probability(theta, beta2):
+    """The chain's first probability and the four angles of ``_hardy_chain``
+    at (theta, beta2), which may be numpy arrays that broadcast.  An angle
+    phi's +1 eigenvector is (cos, sin)(pi/4 - phi/2) up to sign, and p1 is
+    the squared amplitude of a1's and a2's +1 eigenvectors in the state."""
+    angles = _hardy_chain(theta, beta2)
+    a1, a2 = (math.pi / 4.0 - angles[index] / 2.0 for index in (0, 2))
+    overlap = np.cos(a1) * np.cos(theta) * np.cos(a2) + np.sin(a1) * np.sin(theta) * np.sin(a2)
+    return overlap**2, angles
+
+
 def _wrap_angle(angle):
     return angle % (2.0 * math.pi)
 
@@ -307,7 +319,7 @@ def grid_hardy_search(state_angle=None):
     else:
         thetas = np.array([state_angle])
     betas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    grid, _ = _hardy_chain(thetas[:, None], betas[None, :])
+    grid, _ = hardy_chain_probability(thetas[:, None], betas[None, :])
     row, column = _first_maximum(grid, grid.max())
     theta, beta = float(thetas[row]), float(betas[column])
     if state_angle is None:
@@ -316,10 +328,14 @@ def grid_hardy_search(state_angle=None):
     else:
         fixed, start, wrap = (theta,), [beta], None
     point, p1, _ = sequential_refine(
-        lambda point: _hardy_chain(*fixed, *point)[0], start, float(grid[row, column]), 0.05, wrap
+        lambda point: hardy_chain_probability(*fixed, *point)[0],
+        start,
+        float(grid[row, column]),
+        0.05,
+        wrap,
     )
     theta = float(point[0]) if state_angle is None else theta
-    _, angles = _hardy_chain(*fixed, *point)
+    angles = _hardy_chain(*fixed, *point)
     return p1, theta, tuple(float(angle) for angle in angles)
 
 

@@ -270,9 +270,11 @@ def test_criterion_9_property_suite():
             for combo in product(observables.values(), repeat=3):
                 if combo[qubit - 1] is not observables["z"]:
                     continue
-                marginal = _probabilities(
-                    state, combo, [{o for o in outcome_tuples(3) if o[qubit - 1] == -1}]
-                )[0]
+                marginal = sum(
+                    _probabilities(
+                        state, combo, [{o} for o in outcome_tuples(3) if o[qubit - 1] == -1]
+                    )
+                )
                 marginals.add(round(marginal, 9))
             checks.append(len(marginals) == 1)
 

@@ -40,12 +40,13 @@ from bell3q import (
     w,
 )
 import bell3q.optimize
-from bell3q.optimize import PlanePlan, _hardy_chain, _refine
+from bell3q.optimize import PlanePlan, _refine
 
 from conftest import (
     broadcast_grid_values,
     direct_objective,
     grid_hardy_search,
+    hardy_chain_probability,
     plane_binding,
     plane_value,
     scalar_hardy_chain,
@@ -351,7 +352,7 @@ def test_hardy_chain_broadcast_matches_scalar_loop():
     thetas = np.linspace(0.005, math.pi / 4.0, 64)
     betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     expected, winner = scalar_hardy_grid(thetas, betas)
-    values, angles = _hardy_chain(thetas[:, None], betas[None, :])
+    values, angles = hardy_chain_probability(thetas[:, None], betas[None, :])
     assert np.max(np.abs(values - expected)) <= 1e-15
     first = np.flatnonzero(values >= values.max() - 1e-12)[0]
     assert np.unravel_index(first, values.shape) == winner
