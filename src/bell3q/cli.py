@@ -151,6 +151,13 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize_parser.add_argument(
         "--certify-below",
-        type=float,
+        type=_finite,
         default=None,
         help="check that the grid-plus-refinement maximum stays below a bound "
         "(a heuristic check, not a proof)",

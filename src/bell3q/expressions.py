@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -88,6 +88,11 @@ class CorrelatorTerm:
         """The compiled form, built on first use: one subset with weight 1."""
         return WalshForm(1, ((tuple(sorted(self.subset)), 1),))
 
+    def outcome_table(self) -> np.ndarray:
+        """The subset's outcome product, shape ``(2,) * n``, -1 first."""
+        factors = [(-1, 1) if q in self.subset else (1, 1) for q in range(1, len(self.labels) + 1)]
+        return reduce(np.multiply.outer, map(np.array, factors))
+
 
 @dataclass(frozen=True)
 class ProbabilityTerm:
@@ -115,6 +120,12 @@ class ProbabilityTerm:
         """The compiled form, built on first use: the indicator of the
         accepted tuples."""
         return WalshForm.of_event(self.accepted, len(self.labels))
+
+    def outcome_table(self) -> np.ndarray:
+        """The indicator of the accepted tuples, shape ``(2,) * n``, -1 first."""
+        table = np.zeros((2,) * len(self.labels), dtype=int)
+        table[tuple((np.array(tuple(self.accepted)).T + 1) // 2)] = 1
+        return table
 
 
 @dataclass(frozen=True)

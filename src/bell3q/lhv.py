@@ -7,9 +7,10 @@ its value over all of them, and an extremal strategy is returned as a
 witness.  Enumeration order is deterministic: pairs are ordered by qubit then
 by the per-qubit label order, and assignments count up with -1 before +1.
 
-``classical_bounds`` reads each term's compiled Walsh form back into exact
-integer values on the outcomes of the term's own labels, so probability
-terms stay exact 0/1 indicators, and broadcasts them over all strategies.
+``classical_bounds`` broadcasts each term's exact outcome table over all
+strategies: its value on every outcome of the term's own labels, a 0/1
+indicator for a probability and a +-1 product for a correlator
+(``outcome_table`` of the term's payload).
 ``strategy_value`` is the pure-python evaluator that reads the terms
 directly and serves as the independent reference.
 """
@@ -186,15 +187,10 @@ def classical_bounds(expression: "BellExpression") -> ClassicalBounds:
     axis = {pair: p for p, pair in enumerate(scheme.pairs())}
     values = np.zeros((2,) * total)
     for term in expression.terms:
-        walsh = term.payload.walsh
-        # integer_table puts +1 first on every axis and strategies put -1
-        # first, so the list is read backwards
-        exact = walsh.integer_table(scheme.num_qubits)[::-1]
-        table = np.array([value // walsh.denominator for value in exact])
         shape = [1] * total
         for pair in enumerate(term.payload.labels, start=1):
             shape[axis[pair]] = 2
-        values += term.coefficient * table.reshape(shape)
+        values += term.coefficient * term.payload.outcome_table().reshape(shape)
     values = values.reshape(-1)
 
     argmin = int(np.argmin(values))

@@ -478,36 +478,6 @@ def certify_below(
     )
 
 
-def _unit_orthogonal(x, y):
-    """The unit vector orthogonal to (x, y), rotated a quarter turn."""
-    norm = np.sqrt(x * x + y * y)
-    return -y / norm, x / norm
-
-
-def _plus_eigenvector_angle(x, y):
-    """Plane angle of the observable whose +1 eigenvector is the unit (x, y)."""
-    return np.arctan2(x * x - y * y, 2.0 * x * y) % TWO_PI
-
-
-def _hardy_chain(theta, beta2):
-    """Observable angles satisfying the sometimes-always-never chain exactly.
-
-    For the state cos(theta)|++> + sin(theta)|--> and a free angle for b2,
-    the three zero constraints of the chain (a1 = +1 forces b2 = +1,
-    a2 = +1 forces b1 = +1, never b1 = b2 = +1) determine a1, b1 and a2
-    uniquely, so (theta, beta2) parameterizes every chain configuration.
-    Returns the four observable angles.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    half = math.pi / 4.0 - beta2 / 2.0
-    u, v = np.cos(half), np.sin(half)  # b2's +1 eigenvector; (-v, u) is its -1
-    a1 = _unit_orthogonal(-c * v, s * u)
-    b1 = _unit_orthogonal(c * u, s * v)
-    a2 = _unit_orthogonal(-c * b1[1], s * b1[0])  # amplitudes times b1's -1
-    angles = tuple(_plus_eigenvector_angle(*vector) for vector in (a1, b1, a2))
-    return angles + (beta2 % TWO_PI,)
-
-
 @dataclass(frozen=True)
 class HardyOptimum:
     state_angle: float
@@ -532,18 +502,18 @@ def hardy_maximum(*, state_angle: float | None = None) -> HardyOptimum:
     """Maximize the sometimes-always-never chain's first probability, in
     closed form (Hardy, PRL 71, 1665 (1993); Goldstein, PRL 72, 1951 (1994)).
 
-    The chain's three zero constraints pin the four observable angles down
-    to one free angle, beta2 (``_hardy_chain``).  On the state
-    cos(theta)|++> + sin(theta)|--> the first probability peaks at
-    [c s (c - s) / (1 - c s)]^2, with c, s = cos theta, sin theta, where
-    tan^2(pi/4 - beta2/2) = cot theta; over the state angle it peaks at
-    sin 2 theta = 3 - sqrt 5, where it is (5 sqrt 5 - 11) / 2.  Pass
-    ``state_angle`` to fix the state; at pi/4 the maximum collapses to 0,
-    and outside [1e-6, pi/4] (below it the chain's norms underflow) it is
-    refused with ConfigError.
-    The returned value is the ch catalog expression's middle term evaluated
-    at the optimum, which equals the chain's first probability because the
-    constraint probabilities vanish.
+    On the state cos(theta)|++> + sin(theta)|--> the chain's three zero
+    constraints leave one free angle, and the first probability peaks at
+    [c s (c - s) / (1 - c s)]^2, with c, s = cos theta, sin theta, at the
+    angles a1, a2 = atan2(s^3 - c^3, -+2 (s c)^(3/2)),
+    b1 = atan2(s - c, 2 sqrt(s c)) and b2 = pi/2 + 2 atan sqrt(c / s).
+    Over the state angle it peaks at sin 2 theta = 3 - sqrt 5, where it is
+    (5 sqrt 5 - 11) / 2.  Pass ``state_angle`` to fix the state; at pi/4 the
+    maximum collapses to 0, and outside [1e-6, pi/4] it is refused with
+    ConfigError (below it the angles close in on 3 pi/2 and the chain's
+    checks fail on rounding).  The returned value is the ch catalog
+    expression's middle term at the optimum, which equals the chain's first
+    probability because the constraint probabilities vanish.
     """
     if state_angle is None:
         theta = 0.5 * math.asin(3.0 - math.sqrt(5.0))
@@ -553,8 +523,12 @@ def hardy_maximum(*, state_angle: float | None = None) -> HardyOptimum:
         raise ConfigError(
             f"state angle {state_angle!r} outside [{HARDY_THETA_MIN}, pi/4]"
         )
-    beta2 = math.pi / 2.0 + 2.0 * math.atan(math.sqrt(math.cos(theta) / math.sin(theta)))
-    angles = tuple(float(angle) for angle in _hardy_chain(theta, beta2))
+    c, s = math.cos(theta), math.sin(theta)
+    r, cubes = (s * c) ** 1.5, s**3 - c**3
+    a1, a2 = math.atan2(cubes, -2.0 * r), math.atan2(cubes, 2.0 * r)
+    b1 = math.atan2(s - c, 2.0 * math.sqrt(s * c))
+    b2 = math.pi / 2.0 + 2.0 * math.atan(math.sqrt(c / s))
+    angles = tuple(angle % TWO_PI for angle in (a1, b1, a2, b2))
     report = run_hardy_argument(
         states.hardy(theta), *map(Observable.xz_plane, angles), state_name=f"hardy:{theta}"
     )

@@ -21,7 +21,8 @@ a binding, kept by the state for the last key (``StateVector.last_table``);
 every observable of an argument chain, whose contexts read ``(2,) * n``
 sub-tables.  Probabilities expand into those correlators through
 ``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight of each
-subset, which the other modules read.
+subset, which the expressions' compiled matrix and the optimizer's atoms
+read.
 """
 from __future__ import annotations
 
@@ -207,8 +208,7 @@ def _subsets(num_qubits: int) -> dict[tuple[int, ...], int]:
 
 
 def _walsh_hadamard(values: list[int]) -> list[int]:
-    """``out[s] = sum_m values[m] (-1)^popcount(s & m)``; applied twice it
-    multiplies by ``len(values)``."""
+    """``out[s] = sum_m values[m] (-1)^popcount(s & m)``."""
     values = list(values)
     half = 1
     while half < len(values):
@@ -245,15 +245,6 @@ class WalshForm:
         masks, flat = _subsets(table.ndim), table.reshape(-1)
         total = sum(weight * flat[masks[subset]] for subset, weight in self.weights)
         return float(total) / self.denominator
-
-    def integer_table(self, num_qubits: int) -> list[int]:
-        """``denominator`` times the function on every outcome tuple, exact
-        integers in amplitude-index order."""
-        dense = [0] * 2**num_qubits
-        masks = _subsets(num_qubits)
-        for subset, weight in self.weights:
-            dense[masks[subset]] = weight
-        return _walsh_hadamard(dense)
 
 
 def correlation_table(

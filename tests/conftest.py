@@ -8,15 +8,15 @@ observables.  The ``kron_*`` helpers evaluate quantum values the direct
 way, building Kronecker-product projectors and operators on the amplitude
 vector from this module's Pauli matrices.  They share no code with the
 package's compiled route (Pauli correlation tensor and Walsh weights) and
-serve as its oracle.  ``scalar_hardy_*`` is the
-one-point-at-a-time Hardy chain and grid loop, the oracle of
-``hardy_chain_probability``, which broadcasts ``_hardy_chain`` in
-``bell3q.optimize`` and adds the chain's first probability, and
-``grid_hardy_search`` the 64 x 128 grid plus coordinate search, the oracle
-of ``hardy_maximum``'s closed form.  ``broadcast_grid_values`` sums a
-``PlaneObjective``'s atoms one by one over a broadcast mesh, the oracle of
-its monomial-tensor grid, and ``summed_parts`` sums them one by one at a
-point with ``_sum_atoms``, the oracle of its flat atoms.
+serve as its oracle.  ``scalar_hardy_chain`` builds the Hardy chain from
+explicit eigenvectors at one (theta, beta2), the oracle of
+``hardy_maximum``'s closed-form angles, and ``grid_hardy_search`` maximizes
+its first probability by the 64 x 128 grid plus coordinate search, the
+oracle of ``hardy_maximum``'s closed-form value.
+``broadcast_grid_values`` sums a ``PlaneObjective``'s atoms one by one over
+a broadcast mesh, the oracle of its monomial-tensor grid, and
+``summed_parts`` sums them one by one at a point with ``_sum_atoms``, the
+oracle of its flat atoms.
 ``plane_value`` and ``plane_binding`` evaluate a ``PlaneObjective`` at full
 angles, the oracle of its closed-qubit maximum.
 ``direct_objective`` builds a ``PlaneObjective``'s atoms, flat atoms and
@@ -52,7 +52,7 @@ from bell3q import (
     w,
 )
 from bell3q.qcore import CONDITION_FLOOR, PAULI_AXES, WalshForm, _subsets, correlation_table
-from bell3q.optimize import REFINE_TOLERANCE, _first_maximum, _hardy_chain
+from bell3q.optimize import REFINE_TOLERANCE, _first_maximum
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -282,29 +282,6 @@ def scalar_hardy_chain(theta, beta2):
     return p1, angles
 
 
-def scalar_hardy_grid(thetas, betas):
-    """Every grid point's p1 by a double loop, and the first strict maximum."""
-    values = np.empty((len(thetas), len(betas)))
-    best_value, winner = -math.inf, None
-    for i, theta in enumerate(thetas):
-        for j, beta in enumerate(betas):
-            values[i, j], _ = scalar_hardy_chain(float(theta), float(beta))
-            if values[i, j] > best_value:
-                best_value, winner = values[i, j], (i, j)
-    return values, winner
-
-
-def hardy_chain_probability(theta, beta2):
-    """The chain's first probability and the four angles of ``_hardy_chain``
-    at (theta, beta2), which may be numpy arrays that broadcast.  An angle
-    phi's +1 eigenvector is (cos, sin)(pi/4 - phi/2) up to sign, and p1 is
-    the squared amplitude of a1's and a2's +1 eigenvectors in the state."""
-    angles = _hardy_chain(theta, beta2)
-    a1, a2 = (math.pi / 4.0 - angles[index] / 2.0 for index in (0, 2))
-    overlap = np.cos(a1) * np.cos(theta) * np.cos(a2) + np.sin(a1) * np.sin(theta) * np.sin(a2)
-    return overlap**2, angles
-
-
 def _wrap_angle(angle):
     return angle % (2.0 * math.pi)
 
@@ -319,7 +296,7 @@ def grid_hardy_search(state_angle=None):
     else:
         thetas = np.array([state_angle])
     betas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    grid, _ = hardy_chain_probability(thetas[:, None], betas[None, :])
+    grid = np.array([[scalar_hardy_chain(float(t), float(b))[0] for b in betas] for t in thetas])
     row, column = _first_maximum(grid, grid.max())
     theta, beta = float(thetas[row]), float(betas[column])
     if state_angle is None:
@@ -328,15 +305,14 @@ def grid_hardy_search(state_angle=None):
     else:
         fixed, start, wrap = (theta,), [beta], None
     point, p1, _ = sequential_refine(
-        lambda point: hardy_chain_probability(*fixed, *point)[0],
+        lambda point: scalar_hardy_chain(*fixed, *point)[0],
         start,
         float(grid[row, column]),
         0.05,
         wrap,
     )
     theta = float(point[0]) if state_angle is None else theta
-    angles = _hardy_chain(*fixed, *point)
-    return p1, theta, tuple(float(angle) for angle in angles)
+    return p1, theta, scalar_hardy_chain(*fixed, *point)[1]
 
 
 def plane_binding(objective, angles):

@@ -355,7 +355,9 @@ _REFUSED = [
     (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "nan"], 2),
     (["optimize", "--state", "w", "--expr", "mermin", "--grid-step", "1e-320"], 4),
     (["optimize", "--state", "w", "--expr", "mermin", "--budget", "-5"], 2),
-    (["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "nan"], 3),
+    (["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "nan"], 2),
+    (["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "inf"], 2),
+    (["optimize", "--state", "ghz", "--expr", "eq14", "--certify-below", "1e400"], 2),
 ]
 
 

@@ -200,6 +200,7 @@ def test_walsh_form_reproduces_the_indicator_exactly():
 def test_compiled_once_and_lazily():
     expression = parse_expression_text("1 CORR q1:A q2:A SUBSET=1,2\n-1 PROB q1:A q2:B ACCEPT=+-\n")
     state = singlet()
+    classical_bounds(expression)  # reads each term's outcome table instead
     assert all("walsh" not in vars(term.payload) for term in expression.terms)
     assert "pauli_tensor" not in vars(state)
     assert "compiled" not in vars(expression)
@@ -356,8 +357,8 @@ def test_generated_expressions_match_the_kron_oracle(data):
 
 
 def test_bounds_stay_exact_on_seven_qubits():
-    # one accepted tuple on 7 qubits carries the constant weight 2^7 = 128
-    # in its integer table, one past what int8 holds
+    # outcome tables of 2^7 entries, one holding 127 accepted tuples, under
+    # coefficients that are no binary fractions
     scheme = SettingScheme.uniform(7, ("A",))
     labels = ("A",) * 7
     all_but_one = frozenset(product((1, -1), repeat=7)) - {(1,) * 7}
@@ -371,3 +372,14 @@ def test_bounds_stay_exact_on_seven_qubits():
         ),
     )
     _assert_bounds_match_the_loop(expression)
+
+
+def test_bounds_stay_exact_on_twenty_qubits():
+    labels = " ".join(f"q{q}:A" for q in range(1, 21))
+    expression = parse_expression_text(
+        f"0.5 PROB {labels} ACCEPT={'+-' * 10}\n1 CORR {labels} SUBSET=1,5,9\n"
+    )
+    bounds = classical_bounds(expression)
+    assert (bounds.lower, bounds.upper, bounds.strategy_count) == (-1.0, 1.5, 2**20)
+    assert strategy_value(expression, bounds.minimizer) == -1.0
+    assert strategy_value(expression, bounds.maximizer) == 1.5

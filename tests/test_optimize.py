@@ -16,6 +16,7 @@ land on the four-element orbit those symmetries generate.
 """
 import dataclasses
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -46,11 +47,9 @@ from conftest import (
     broadcast_grid_values,
     direct_objective,
     grid_hardy_search,
-    hardy_chain_probability,
     plane_binding,
     plane_value,
     scalar_hardy_chain,
-    scalar_hardy_grid,
     sequential_refine,
     summed_parts,
 )
@@ -236,6 +235,19 @@ def test_hardy_maximum_at_a_fixed_state_angle():
         assert value >= grid_hardy_search(theta)[0] - 1e-12, theta
 
 
+def test_hardy_maximum_angles_are_the_chain_at_the_optimal_beta2():
+    # tan^2(pi/4 - beta2/2) = cot theta, so beta2 = pi/2 + 2 atan sqrt(cot theta)
+    theta_star = 0.5 * math.asin(3.0 - math.sqrt(5.0))
+    for theta in (1e-6, 0.01, 0.1, theta_star, 0.5, 0.7, math.pi / 4.0):
+        beta2 = math.pi / 2.0 + 2.0 * math.atan(math.sqrt(1.0 / math.tan(theta)))
+        _, oracle = scalar_hardy_chain(theta, beta2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # vacuous at pi/4
+            angles = hardy_maximum(state_angle=theta).angles
+        for found, want in zip(angles, oracle):
+            assert _circular_distance(found, want) <= 1e-12, theta
+
+
 def test_hardy_maximum_at_the_maximally_entangled_boundary():
     with pytest.warns(UserWarning):
         optimum = hardy_maximum(state_angle=math.pi / 4.0)
@@ -346,23 +358,6 @@ def test_flat_atoms_match_the_summed_oracle():
             assert result.value == expected.value, (name, mode)
             assert result.point.angles == expected.point.angles, (name, mode)
             assert result.evaluations == expected.evaluations, (name, mode)
-
-
-def test_hardy_chain_broadcast_matches_scalar_loop():
-    thetas = np.linspace(0.005, math.pi / 4.0, 64)
-    betas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    expected, winner = scalar_hardy_grid(thetas, betas)
-    values, angles = hardy_chain_probability(thetas[:, None], betas[None, :])
-    assert np.max(np.abs(values - expected)) <= 1e-15
-    first = np.flatnonzero(values >= values.max() - 1e-12)[0]
-    assert np.unravel_index(first, values.shape) == winner
-    angles = [np.broadcast_to(angle, values.shape) for angle in angles]
-    for i, theta in enumerate(thetas):
-        for j, beta in enumerate(betas):
-            _, oracle = scalar_hardy_chain(float(theta), float(beta))
-            for found, want in zip(angles, oracle):
-                # angles near 2 pi: a few units in the last place
-                assert _circular_distance(found[i, j], want) <= 4e-15
 
 
 def test_hardy_maximum_rejects_underflowing_state_angle():
