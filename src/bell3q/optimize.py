@@ -14,17 +14,17 @@ maximum over those angles is exact, ``c + sum_l hypot(a_l, b_l)`` at
 ``t_l = atan2(b_l, a_l)``.  Free mode closes the qubit with the most labels
 (the last one on a tie) that way and searches only the other, "open",
 angles.  Symmetric mode closes nothing: a label shared by several qubits
-makes the objective of higher degree in its angle.  The optimizer evaluates
-the objective over an exhaustive coarse grid of the open angles, then
-refines the grid's winner with a shrinking coordinate search.
+makes the objective of higher degree in its angle.
 
-An open axis carries only a few distinct monomials ``cos^i sin^j``, so the
-grid contracts each atom group (c, a_l, b_l), a sparse coefficient tensor
-over them, one axis at a time, at a cost of points times monomials; a
-single point sums the group's flat atoms in order on Python floats.  Exact
+An exhaustive coarse grid of the open angles only proposes a start.  An open
+axis carries only a few distinct monomials ``cos^i sin^j``, so the grid
+contracts each atom group (c, a_l, b_l), a sparse coefficient tensor over
+them, one axis at a time, at a cost of points times monomials.  Exact
 symmetries give grid optima that differ only by rounding, so the winner is
-the first point in row order within ``TIE_TOLERANCE`` of the maximum.  Runs
-with the same inputs give identical results.
+the first point in row order within ``TIE_TOLERANCE`` of the maximum.  A
+shrinking coordinate search refines it, and the point form, each group's
+flat atoms summed in order on Python floats, scores the start and every
+move.  Runs with the same inputs give identical results.
 
 Everything of the polynomial but the state's tensor entries (the dimensions,
 the constant and each candidate atom's weight, tensor index, factors, group,
@@ -68,7 +68,8 @@ class PlanePlan:
     its flat index into the Pauli tensor (``entries``) and, in ``atoms``,
     its weight ``coefficient / denominator * walsh_weight``, factors, group,
     point form (three indices into ``[cos..., sin..., 1.0]``, padded with
-    the 1.0 slot, and a tuple of any further ones) and grid key.
+    the 1.0 slot; ``PlaneObjective`` plans only for a matching state, of at
+    most three qubits) and grid key.
     """
 
     dims: tuple
@@ -124,11 +125,10 @@ class PlanePlan:
                     closed = [factor for factor in factors if factor[0] not in position]
                     indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
                     key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
-                    padded = indices + (2 * width,) * (3 - len(indices))
                     entries.append(np.ravel_multi_index(index, shape))
                     atoms.append((
                         scale * weight, factors, keys.index(closed[0] if closed else None),
-                        (*padded[:3], padded[3:]), key,
+                        indices + (2 * width,) * (3 - len(indices)), key,
                     ))
         entries = np.array(entries, dtype=np.intp)
         entries.setflags(write=False)
@@ -187,17 +187,13 @@ class PlaneObjective:
 
     def _parts(self, open_angles) -> list[float]:
         """c, then a_l and b_l of each closed label, at one open point: each
-        group's flat atoms, factors multiplied left to right (a padded slot
-        multiplies by the exact 1.0), summed in order."""
+        group's flat atoms, three factors multiplied left to right (a padded
+        slot multiplies by the exact 1.0), summed in order."""
         values = [*map(math.cos, open_angles), *map(math.sin, open_angles), 1.0]
         parts = []
         for total, atoms in zip(self._starts, self._flat):
-            for coefficient, i, j, k, rest in atoms:
-                part = coefficient * values[i] * values[j] * values[k]
-                if rest:
-                    for r in rest:
-                        part *= values[r]
-                total += part
+            for coefficient, i, j, k in atoms:
+                total += coefficient * values[i] * values[j] * values[k]
             parts.append(total)
         return parts
 
@@ -310,21 +306,19 @@ class CertificationResult:
 
 
 def _refine(
-    evaluate, start: np.ndarray, start_value: float, initial_step: float
+    evaluate, start: np.ndarray, initial_step: float
 ) -> tuple[np.ndarray, float, int]:
-    """Shrinking coordinate search over angles taken mod 2 pi; never
-    decreases the incumbent value.
+    """Shrinking coordinate search over angles taken mod 2 pi, scored by
+    ``evaluate`` alone from its value at ``start``; never decreases it.
 
     A move is taken when its trial beats the incumbent, and a sweep that
-    takes none halves the step.  ``evaluations`` counts the trials; the
-    evaluator runs once per distinct trial point, and a trial point seen
-    before reuses its value.  ``start_value`` is only the value to beat:
-    the start point itself is evaluated if a trial returns to it.
+    takes none halves the step.  ``evaluations`` counts the trials, not the
+    start; the evaluator runs once per distinct point, the start included.
     """
     current = [float(x) for x in start]
-    best = start_value
+    best = evaluate(current)
     evaluations = 0
-    seen: dict[tuple, float] = {}
+    seen: dict[tuple, float] = {tuple(current): best}
     step = initial_step
     while step >= REFINE_TOLERANCE:
         improved = False
@@ -387,19 +381,20 @@ def maximize(
     """Maximize an expression over x-z plane angles.
 
     An exhaustive coarse grid (default step 0.02 rad in symmetric mode,
-    0.1 rad in free mode) locates the basin; a shrinking coordinate search
-    refines it below ``REFINE_TOLERANCE``.  Free mode closes one qubit's
-    angles exactly (see the module docstring): its grid and refinement run
-    over the other qubits' angles only, and the closed angles of the result
-    come from ``atan2``.  There ``grid_value`` is the best grid point's
-    value with its closed angles already at their maximum, and
-    ``evaluations`` counts such evaluations of the open angles.  Free mode
-    additionally warm starts from the symmetric optimum, so the free result
-    is never worse than the symmetric one.  Raises ConfigError for a grid
-    step that is not positive and finite or a budget below 1, and
-    BudgetExceededError when the grid would need more than ``budget``
-    evaluations, and ContractViolationError when the grid maximum is not
-    finite (coefficients so large that the objective overflows).
+    0.1 rad in free mode) proposes a start; a shrinking coordinate search,
+    which scores the start and every move by the point form alone, refines
+    it below ``REFINE_TOLERANCE``.  Free mode closes one qubit's angles
+    exactly (see the module docstring): its grid and refinement run over the
+    other qubits' angles only, and the closed angles of the result come from
+    ``atan2``.  There ``grid_value`` is the best grid point's value with its
+    closed angles already at their maximum, and ``evaluations`` counts such
+    evaluations of the open angles.  Free mode additionally warm starts from
+    the symmetric optimum, so the free result is never worse than the
+    symmetric one.  Raises ConfigError for a grid step that is not positive
+    and finite or a budget below 1, and BudgetExceededError when the grid
+    would need more than ``budget`` evaluations, and ContractViolationError
+    when the grid maximum is not finite (coefficients so large that the
+    objective overflows).
     """
     step = grid_step if grid_step is not None else (
         SYMMETRIC_GRID_STEP if mode == "symmetric" else FREE_GRID_STEP
@@ -429,18 +424,17 @@ def maximize(
         raise ContractViolationError(f"grid maximum {grid_value!r} is not finite")
     evaluations = points
 
-    candidates = [(grid_value, grid_angles, step)]
+    candidates = [(grid_angles, step)]
     if mode == "free":
         symmetric = maximize(expression, state, "symmetric", budget=budget)
         by_label = dict(zip(symmetric.point.dims, symmetric.point.angles))
         embedded = np.array([by_label[objective.dims[d][1]] for d in objective.open_dims])
-        start_value = objective.best_value(embedded)
         evaluations += symmetric.evaluations + 1
-        candidates.append((start_value, embedded, SYMMETRIC_GRID_STEP))
+        candidates.append((embedded, SYMMETRIC_GRID_STEP))
 
     best_angles, best_value = None, -math.inf
-    for start_value, start, start_step in candidates:
-        refined, value, used = _refine(objective.best_value, start, start_value, start_step)
+    for start, start_step in candidates:
+        refined, value, used = _refine(objective.best_value, start, start_step)
         evaluations += used
         if value > best_value:
             best_value, best_angles = value, refined

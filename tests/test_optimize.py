@@ -17,6 +17,7 @@ land on the four-element orbit those symmetries generate.
 import dataclasses
 import math
 import warnings
+from contextlib import nullcontext
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,7 @@ from bell3q import (
     AnglePoint,
     BudgetExceededError,
     ConfigError,
+    ContractViolationError,
     PlaneObjective,
     StateVector,
     catalog,
@@ -230,7 +232,9 @@ def test_hardy_maximum_at_a_fixed_state_angle():
     # [c s (c - s) / (1 - c s)]^2 on cos(theta)|++> + sin(theta)|-->
     for theta in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, math.pi / 4.0):
         c, s = math.cos(theta), math.sin(theta)
-        value = hardy_maximum(state_angle=theta).value
+        vacuous = theta == math.pi / 4.0
+        with pytest.warns(UserWarning, match="maximally entangled") if vacuous else nullcontext():
+            value = hardy_maximum(state_angle=theta).value
         assert abs(value - (c * s * (c - s) / (1.0 - c * s)) ** 2) <= 1e-14, theta
         assert value >= grid_hardy_search(theta)[0] - 1e-12, theta
 
@@ -382,14 +386,15 @@ def _catalog_cases(rng):
             yield expression, state, mode, step
 
 
-def _shared_label_expression(rng, num_qubits):
+def _shared_label_expression(rng, num_qubits, magnitude=lambda rng: float(rng.integers(1, 4))):
     """A seeded expression of correlators and probabilities on random
     subsets and outcomes, each qubit's label drawn from A and B per term, so
-    that labels recur across qubits."""
+    that labels recur across qubits; each coefficient is ``magnitude(rng)``
+    with a random sign."""
     lines = []
     for _ in range(int(rng.integers(2, 6))):
         labels = " ".join(f"q{q}:{rng.choice(['A', 'B'])}" for q in range(1, num_qubits + 1))
-        coefficient = float(rng.integers(1, 4)) * rng.choice([-1.0, 1.0])
+        coefficient = magnitude(rng) * rng.choice([-1.0, 1.0])
         if rng.random() < 0.5:
             size = int(rng.integers(1, num_qubits + 1))
             subset = sorted(rng.choice(np.arange(1, num_qubits + 1), size, replace=False))
@@ -398,6 +403,37 @@ def _shared_label_expression(rng, num_qubits):
             outcomes = "".join(rng.choice(["+", "-"]) for _ in range(num_qubits))
             lines.append(f"{coefficient} PROB {labels} ACCEPT={outcomes}")
     return parse_expression_text("\n".join(lines) + "\n")
+
+
+def test_grid_rounding_does_not_steer_the_refinement():
+    # the grid only proposes starts: every grid value one ulp lower leaves
+    # every field but grid_value bit for bit unchanged
+    rng = np.random.default_rng(37)
+    cases = list(_catalog_cases(rng))
+    non_dyadic = lambda rng: float(rng.choice([0.1, 0.7, 1.0 / 3.0, 2.0 / 3.0, 1.3]))
+    for num_qubits in (2, 3) * 15:
+        expression = _shared_label_expression(rng, num_qubits, non_dyadic)
+        state = _random_state(rng, num_qubits)
+        step = 0.5 if num_qubits == 3 else None
+        cases += [(expression, state, "symmetric", None), (expression, state, "free", step)]
+    grid_values = PlaneObjective.grid_values
+    for index, (expression, state, mode, step) in enumerate(cases):
+        found = maximize(expression, state, mode, grid_step=step).as_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                PlaneObjective,
+                "grid_values",
+                lambda self, axes: np.nextafter(grid_values(self, axes), -np.inf),
+            )
+            lowered = maximize(expression, state, mode, grid_step=step).as_dict()
+        assert lowered.pop("grid_value") < found.pop("grid_value")
+        assert lowered == found, (index, mode)
+
+
+def _scored_sequential_refine(evaluate, start, initial_step):
+    """``sequential_refine`` from the objective's own value at ``start``,
+    the signature of ``_refine``."""
+    return sequential_refine(evaluate, start, evaluate(start), initial_step)
 
 
 def test_refinement_memo_matches_the_sequential_oracle():
@@ -420,14 +456,14 @@ def test_refinement_memo_matches_the_sequential_oracle():
     for function, args, options in calls:
         found = function(*args, **options).as_dict()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bell3q.optimize, "_refine", sequential_refine)
+            patch.setattr(bell3q.optimize, "_refine", _scored_sequential_refine)
             expected = function(*args, **options).as_dict()
         assert found == expected, (function.__name__, args)
 
 
 def test_refinement_evaluates_each_distinct_trial_once():
-    # the oracle evaluates every trial; _refine evaluates each distinct one
-    # once and still counts every trial
+    # the oracle evaluates the start and every trial; _refine evaluates each
+    # distinct point, the start included, once and counts every trial
     rng = np.random.default_rng(29)
     searches = []
     for expression, state, mode in [
@@ -437,23 +473,22 @@ def test_refinement_evaluates_each_distinct_trial_once():
     ]:
         objective = PlaneObjective(expression, state, mode)
         start = rng.uniform(0.0, TWO_PI, size=len(objective.open_dims))
-        searches.append((objective.best_value, start, -math.inf, 0.05))
-    for evaluate, start, start_value, step in searches:
+        searches.append((objective.best_value, start, 0.05))
+    for evaluate, start, step in searches:
         trials, calls = [], []
-        expected = sequential_refine(
-            lambda p: trials.append(tuple(p)) or evaluate(p), start, start_value, step
+        expected = _scored_sequential_refine(
+            lambda p: trials.append(tuple(p)) or evaluate(p), start, step
         )
-        found = _refine(lambda p: calls.append(tuple(p)) or evaluate(p), start, start_value, step)
+        found = _refine(lambda p: calls.append(tuple(p)) or evaluate(p), start, step)
         assert len(calls) == len(set(calls)) == len(set(trials)) < len(trials)
-        assert set(calls) == set(trials)
-        assert found[2] == expected[2] == len(trials)
+        assert set(calls) == set(trials) and calls[0] == trials[0] == tuple(start)
+        assert found[2] == expected[2] == len(trials) - 1
         assert np.array_equal(found[0], expected[0]) and found[1] == expected[1]
 
 
-def test_refinement_evaluates_the_start_point_on_return():
-    # start_value is only the value to beat: 1 ulp below the objective's
-    # value at the start, a flat objective takes the first move, and the
-    # next trial, back at the start, must reach the evaluator
+def test_refinement_scores_its_own_start():
+    # the start is evaluated first and is the value to beat: a flat
+    # objective takes no move, and the start reaches the evaluator once
     start = [0.5, 0.5]
     calls = []
 
@@ -461,12 +496,10 @@ def test_refinement_evaluates_the_start_point_on_return():
         calls.append(tuple(point))
         return 1.0
 
-    below = math.nextafter(flat(start), -math.inf)
-    calls.clear()
-    point, value, evaluations = _refine(flat, np.array(start), below, 0.25)
-    assert calls[:2] == [(0.75, 0.5), (0.5, 0.5)]
-    assert value == 1.0 and np.array_equal(point, [0.75, 0.5])
-    assert evaluations == sequential_refine(flat, start, below, 0.25)[2]
+    point, value, evaluations = _refine(flat, np.array(start), 0.25)
+    assert calls[0] == tuple(start) and calls.count(tuple(start)) == 1
+    assert value == 1.0 and np.array_equal(point, start)
+    assert evaluations == len(calls) - 1 == _scored_sequential_refine(flat, start, 0.25)[2]
 
 
 def test_plane_plan_is_built_once_per_expression_and_mode(monkeypatch):
@@ -504,7 +537,8 @@ def test_plane_plan_is_immutable():
 
 def test_objective_from_its_plan_matches_a_direct_build():
     # bit for bit and in the same order: the constant, the atoms, the flat
-    # atoms (padded to three indices with the 1.0 slot) and the grid tensors
+    # atoms (exactly three indices, padded with the 1.0 slot) and the grid
+    # tensors
     rng = np.random.default_rng(31)
     cases = [(expression, state, mode) for expression, state, mode, _ in _catalog_cases(rng)]
     for num_qubits in (2, 3):
@@ -516,7 +550,7 @@ def test_objective_from_its_plan_matches_a_direct_build():
         constant, atoms, flat, tensors = direct_objective(expression, state, mode)
         pad = 2 * len(objective.open_dims)
         padded = [
-            [(c, *(indices + (pad,) * 3)[:3], indices[3:]) for c, indices in group]
+            [(c, *indices, *(pad,) * (3 - len(indices))) for c, indices in group]
             for group in flat
         ]
         assert objective.constant == constant
@@ -525,18 +559,11 @@ def test_objective_from_its_plan_matches_a_direct_build():
         assert [list(t.items()) for t in objective._tensors] == [list(t.items()) for t in tensors]
 
 
-def test_point_form_keeps_factors_beyond_the_third():
-    # states have at most three qubits, but a plan needs only the expression:
-    # a four-qubit atom's fourth open index goes to the trailing tuple, and
-    # the point sum multiplies it in after the first three
+def test_four_qubit_expression_builds_no_plan():
+    # states have at most three qubits, and the objective matches the state
+    # before it builds a plan, so no point form has a fourth open factor
     expression = parse_expression_text("1 CORR q1:A q2:B q3:A q4:B SUBSET=1,2,3,4\n")
-    plan = PlanePlan.of(expression, "symmetric")
-    assert plan.open_dims == (0, 1) and len(plan.atoms) == 16
-    assert {len(point) for _, _, _, point, _ in plan.atoms} == {4}
-    assert all(len(point[3]) == 1 for _, _, _, point, _ in plan.atoms)
-    objective = PlaneObjective.__new__(PlaneObjective)
-    objective._starts, objective._flat = [0.25], [[(0.7, 0, 3, 1, (2, 3)), (-1.3, 4, 4, 4, ())]]
-    angles = [0.3, 1.1]
-    cos, sin = [math.cos(a) for a in angles], [math.sin(a) for a in angles]
-    part = 0.7 * cos[0] * sin[1] * cos[1] * sin[0] * sin[1]
-    assert objective._parts(angles) == [0.25 + part + -1.3 * 1.0 * 1.0 * 1.0]
+    for mode in ("symmetric", "free"):
+        with pytest.raises(ContractViolationError):
+            PlaneObjective(expression, w(), mode)
+    assert expression.plane_plans == {}
