@@ -41,13 +41,7 @@ from .expressions import (
     resolve_expression,
 )
 from .lhv import classical_bounds
-from .qcore import (
-    DensityMatrix,
-    Observable,
-    concurrence,
-    outcome_tuples,
-    partial_trace,
-)
+from .qcore import Observable, concurrence, outcome_tuples, partial_trace
 
 
 def _round_floats(value: Any) -> Any:
@@ -238,10 +232,8 @@ def _cmd_states(args: argparse.Namespace) -> dict:
                 f"traced_q{q}": concurrence(partial_trace(state, q)) for q in (1, 2, 3)
             }
         else:
-            rho = DensityMatrix(
-                [[a * b.conjugate() for b in state.amplitudes] for a in state.amplitudes]
-            )
-            result["concurrence"] = concurrence(rho)
+            psi = state.amplitudes
+            result["concurrence"] = concurrence(psi[:, None] * psi.conj())
         config = {"state": spec.describe()}
     return {"command": "states", "config": config, "result": result}
 

@@ -3,9 +3,12 @@
 The search space is one angle per setting label (symmetric mode, the same
 observable on every qubit) or one angle per (qubit, label) pair (free mode).
 Every expression restricted to the x-z plane is a trigonometric polynomial.
-``PlaneObjective`` reads it off the compiled form: each weighted subset of a
-term's Walsh form expands over the cos (x) and sin (z) components of its
-qubits' angles, weighted by the state's Pauli correlation tensor.
+``PlaneObjective`` reads it off the compiled form: the terms' rows of
+``BellExpression.compiled``, weighted by coefficient over denominator, sum
+to one multilinear form on the label table, and each nonzero entry but the
+constant expands over the cos (x) and sin (z) components of its qubits'
+angles, weighted by the state's Pauli correlation tensor.  Terms that share
+labels on a subset so give one atom per x/z choice, not one each.
 
 In free mode every atom of that polynomial holds at most one angle of each
 qubit, so with the other qubits' angles fixed the objective is
@@ -63,13 +66,15 @@ TWO_PI = 2.0 * math.pi
 class PlanePlan:
     """What ``PlaneObjective`` reads of an expression, whatever the state.
 
-    The dimensions, the closed and open ones, the constant, and per
-    candidate atom (a nonempty Walsh subset with an x or z part per qubit)
-    its flat index into the Pauli tensor (``entries``) and, in ``atoms``,
-    its weight ``coefficient / denominator * walsh_weight``, factors, group,
-    point form (three indices into ``[cos..., sin..., 1.0]``, padded with
-    the 1.0 slot; ``PlaneObjective`` plans only for a matching state, of at
-    most three qubits) and grid key.
+    The dimensions, the closed and open ones, the constant (entry 0 of the
+    weighted form ``(coefficients / denominators) @ compiled weights``), and
+    per candidate atom (a nonzero entry of the form with an x or z part per
+    qubit of its support; entries ordered by the first term that reaches
+    them and within a term in table order) its flat index into the Pauli
+    tensor (``entries``) and, in ``atoms``, its weight (the form's entry),
+    factors, group, point form (three indices into ``[cos..., sin...,
+    1.0]``, padded with the 1.0 slot; ``PlaneObjective`` plans only for a
+    matching state, of at most three qubits) and grid key.
     """
 
     dims: tuple
@@ -89,6 +94,7 @@ class PlanePlan:
 
     @classmethod
     def _build(cls, expression: BellExpression, mode: str) -> "PlanePlan":
+        scheme_labels = expression.scheme.labels_per_qubit
         pairs = expression.scheme.pairs()
         if mode == "symmetric":
             dims: tuple = tuple(dict.fromkeys(label for _, label in pairs))
@@ -97,7 +103,7 @@ class PlanePlan:
         else:
             dims = pairs
             dim_of = {pair: i for i, pair in enumerate(pairs)}
-            counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
+            counts = [len(labels) for labels in scheme_labels]
             closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
             closed_dims = tuple(i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit)
         open_dims = tuple(i for i in range(len(dims)) if i not in closed_dims)
@@ -105,34 +111,35 @@ class PlanePlan:
         width = len(open_dims)
         position = {dim: p for p, dim in enumerate(open_dims)}
         keys = [None] + [(dim, axis) for dim in closed_dims for axis in "xz"]
-        shape = (4,) * expression.num_qubits
-        constant, entries, atoms = 0.0, [], []
-        for term in expression.terms:
-            labels, walsh = term.payload.labels, term.payload.walsh
-            scale = term.coefficient / walsh.denominator
-            for subset, weight in walsh.weights:
-                if not subset:
-                    constant += scale * weight
-                    continue
-                for axes in product("xz", repeat=len(subset)):
-                    index = [0] * len(shape)
-                    for qubit, axis in zip(subset, axes):
-                        index[qubit - 1] = PAULI_AXES.index(axis)
-                    factors = tuple(
-                        (dim_of[(qubit, labels[qubit - 1])], axis)
-                        for qubit, axis in zip(subset, axes)
-                    )
-                    closed = [factor for factor in factors if factor[0] not in position]
-                    indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
-                    key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
-                    entries.append(np.ravel_multi_index(index, shape))
-                    atoms.append((
-                        scale * weight, factors, keys.index(closed[0] if closed else None),
-                        indices + (2 * width,) * (3 - len(indices)), key,
-                    ))
+        weights, denominators = expression.compiled
+        coefficients = np.array([term.coefficient for term in expression.terms])
+        form = ((coefficients / denominators) @ weights).tolist()
+        table_shape = tuple(1 + len(labels) for labels in scheme_labels)
+        # every nonzero entry but the constant, once, in the order of the
+        # first term that reaches it and within a term in table order
+        reached = dict.fromkeys(
+            i for row in weights for i in np.flatnonzero(row).tolist() if i and form[i]
+        )
+        entries, atoms = [], []
+        for flat in reached:
+            chosen = np.unravel_index(flat, table_shape)
+            support = [(q + 1, scheme_labels[q][k - 1]) for q, k in enumerate(chosen) if k]
+            for axes in product("xz", repeat=len(support)):
+                index = [0] * len(table_shape)
+                for (qubit, _), axis in zip(support, axes):
+                    index[qubit - 1] = PAULI_AXES.index(axis)
+                factors = tuple((dim_of[pair], axis) for pair, axis in zip(support, axes))
+                closed = [factor for factor in factors if factor[0] not in position]
+                indices = tuple([position[d] + width * (a == "z") for d, a in factors if d in position])
+                key = tuple([(indices.count(p), indices.count(p + width)) for p in range(width)])
+                entries.append(np.ravel_multi_index(index, (4,) * len(table_shape)))
+                atoms.append((
+                    form[flat], factors, keys.index(closed[0] if closed else None),
+                    indices + (2 * width,) * (3 - len(indices)), key,
+                ))
         entries = np.array(entries, dtype=np.intp)
         entries.setflags(write=False)
-        return cls(dims, closed_dims, open_dims, constant, entries, tuple(atoms))
+        return cls(dims, closed_dims, open_dims, form[0], entries, tuple(atoms))
 
 
 class PlaneObjective:

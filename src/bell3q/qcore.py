@@ -21,8 +21,9 @@ a binding, kept by the state for the last key (``StateVector.last_table``);
 every observable of an argument chain, whose contexts read ``(2,) * n``
 sub-tables.  Probabilities expand into those correlators through
 ``[s = o] = (1 + o s) / 2``; ``WalshForm`` holds the integer weight of each
-subset, which the expressions' compiled matrix and the optimizer's atoms
-read.
+subset, read only by the expressions' compiled matrix (which the optimizer
+reads in turn) and by the argument chains.  Reduced pair states are plain
+read-only 4 x 4 arrays: every one comes from a pure state.
 """
 from __future__ import annotations
 
@@ -166,35 +167,6 @@ def _observable(obs) -> Observable:
     return obs
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Two-qubit (or general) density matrix with validated invariants."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ContractViolationError(f"density matrix must be square, got {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ContractViolationError("density matrix entries must be finite")
-        trace = complex(np.trace(matrix))
-        if abs(trace - 1.0) > NORM_ATOL:
-            raise ContractViolationError(f"trace {trace!r} deviates from 1")
-        if not np.allclose(matrix, matrix.conj().T, atol=NORM_ATOL):
-            raise ContractViolationError("density matrix is not Hermitian")
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        if float(eigenvalues.min()) < -NORM_ATOL:
-            raise ContractViolationError(
-                f"negative eigenvalue {eigenvalues.min()!r} in density matrix"
-            )
-        object.__setattr__(self, "matrix", _read_only(matrix))
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
 @cache
 def _subsets(num_qubits: int) -> dict[tuple[int, ...], int]:
     """Every qubit subset, by size and then in lexicographic order, mapped
@@ -273,26 +245,27 @@ def correlation_table(
     return table.reshape(tuple(1 + len(per_qubit) for per_qubit in observables))
 
 
-def partial_trace(state: StateVector, traced_qubit: int) -> DensityMatrix:
-    """Reduced two-qubit density matrix after tracing out one qubit of three."""
+def partial_trace(state: StateVector, traced_qubit: int) -> np.ndarray:
+    """Reduced two-qubit density matrix, read-only 4 x 4, after tracing out
+    one qubit of three."""
     if state.num_qubits != 3:
         raise ContractViolationError("partial_trace expects a three-qubit state")
     if not 1 <= traced_qubit <= 3:
         raise ContractViolationError(f"qubit index {traced_qubit} out of range")
     tensor = state.amplitudes.reshape(2, 2, 2)
     kept = np.moveaxis(tensor, traced_qubit - 1, 2).reshape(4, 2)
-    return DensityMatrix(kept @ kept.conj().T)
+    return _read_only(kept @ kept.conj().T)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence: ``max(0, l1 - l2 - l3 - l4)`` over the square
-    roots of the eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` sorted
-    descending."""
-    if rho.dimension != 4:
+def concurrence(rho: np.ndarray) -> float:
+    """Two-qubit concurrence of a 4 x 4 density matrix: ``max(0, l1 - l2 -
+    l3 - l4)`` over the square roots of the eigenvalues of
+    ``rho (sy x sy) rho* (sy x sy)`` sorted descending."""
+    if np.shape(rho) != (4, 4):
         raise ContractViolationError("concurrence expects a two-qubit density matrix")
     spin_flip = np.kron(PAULI_Y, PAULI_Y)
-    flipped = spin_flip @ rho.matrix.conj() @ spin_flip
-    eigenvalues = np.linalg.eigvals(rho.matrix @ flipped)
+    flipped = spin_flip @ rho.conj() @ spin_flip
+    eigenvalues = np.linalg.eigvals(rho @ flipped)
     roots = np.sqrt(np.clip(np.real(eigenvalues), 0.0, None))
     roots[::-1].sort()
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))

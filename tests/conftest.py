@@ -19,9 +19,10 @@ a broadcast mesh, the oracle of its monomial-tensor grid, and
 oracle of its flat atoms.
 ``plane_value`` and ``plane_binding`` evaluate a ``PlaneObjective`` at full
 angles, the oracle of its closed-qubit maximum.
-``direct_objective`` builds a ``PlaneObjective``'s atoms, flat atoms and
-grid tensors from the expression and the state alone, the oracle of the
-plan an expression keeps per mode, and ``sequential_refine`` is the
+``direct_objective`` builds a ``PlaneObjective``'s atoms term by term from
+the expression and the state alone, the oracle of the plan an expression
+keeps per mode (which merges the atoms of terms that share a tensor entry
+and factors), and ``sequential_refine`` is the
 coordinate search that evaluates every trial, the oracle of ``_refine``'s
 memo of trial points.
 ``loop_reality_counterexample`` checks the three-qubit chain on each of the
@@ -390,28 +391,22 @@ def summed_parts(objective, open_angles):
 
 
 def direct_objective(expression, state, mode):
-    """A ``PlaneObjective``'s state-dependent parts, built directly.
+    """A ``PlaneObjective``'s state-dependent parts, built term by term.
 
-    Returns the constant, the atoms ``(coefficient, factors)`` of every Walsh
-    subset and x/z choice whose tensor entry is at least 1e-15 in size, each
-    group's flat atoms ``(coefficient, open indices)`` and each group's grid
-    tensor (a dict in insertion order), grouped as ``PlaneObjective`` does.
+    Returns the constant, the atoms ``(coefficient, factors)`` of every
+    term's Walsh subsets and x/z choices whose tensor entry is at least 1e-15
+    in size, in term order, and per atom its origin: the term's index and
+    the Pauli tensor index it reads.
     """
     pairs = expression.scheme.pairs()
     if mode == "symmetric":
         dims = tuple(dict.fromkeys(label for _, label in pairs))
         dim_of = {pair: dims.index(pair[1]) for pair in pairs}
-        closed_dims = ()
     else:
-        dims = pairs
         dim_of = {pair: i for i, pair in enumerate(pairs)}
-        counts = [len(labels) for labels in expression.scheme.labels_per_qubit]
-        closed_qubit = max(range(len(counts)), key=lambda q: (counts[q], q)) + 1
-        closed_dims = tuple(i for i, (qubit, _) in enumerate(pairs) if qubit == closed_qubit)
-    open_dims = tuple(i for i in range(len(dims)) if i not in closed_dims)
 
-    constant, atoms = 0.0, []
-    for term in expression.terms:
+    constant, atoms, origins = 0.0, [], []
+    for number, term in enumerate(expression.terms):
         labels, walsh = term.payload.labels, term.payload.walsh
         scale = term.coefficient / walsh.denominator
         for subset, weight in walsh.weights:
@@ -429,21 +424,8 @@ def direct_objective(expression, state, mode):
                     (dim_of[(qubit, labels[qubit - 1])], axis) for qubit, axis in zip(subset, axes)
                 )
                 atoms.append((scale * weight * entry, factors))
-
-    width = len(open_dims)
-    position = {dim: p for p, dim in enumerate(open_dims)}
-    keys = [None] + [(dim, axis) for dim in closed_dims for axis in "xz"]
-    starts = [constant] + [0.0] * (len(keys) - 1)
-    flat = [[] for _ in keys]
-    tensors = [{((0, 0),) * width: start} for start in starts]
-    for coefficient, factors in atoms:
-        closed = [factor for factor in factors if factor[0] not in position]
-        group = keys.index(closed[0] if closed else None)
-        indices = tuple(position[d] + width * (a == "z") for d, a in factors if d in position)
-        flat[group].append((coefficient, indices))
-        key = tuple((indices.count(p), indices.count(p + width)) for p in range(width))
-        tensors[group][key] = tensors[group].get(key, 0.0) + coefficient
-    return constant, atoms, flat, tensors
+                origins.append((number, tuple(index)))
+    return constant, atoms, origins
 
 
 def sequential_refine(evaluate, start, start_value, initial_step, wrap=None):

@@ -19,6 +19,7 @@ import math
 import warnings
 from contextlib import nullcontext
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -535,28 +536,70 @@ def test_plane_plan_is_immutable():
     assert isinstance(plan.atoms, tuple) and isinstance(plan.dims, tuple)
 
 
+CATALOG_ATOMS = {
+    "cabello_ch": 32, "cabello_ch_literal": 30, "cabello_ch_fixed": 24, "mermin": 32,
+    "eq13": 44, "eq14": 44, "chsh": 16, "ch": 16,
+}
+
+
 def test_objective_from_its_plan_matches_a_direct_build():
-    # bit for bit and in the same order: the constant, the atoms, the flat
-    # atoms (exactly three indices, padded with the 1.0 slot) and the grid
-    # tensors
+    # the plan merges the direct build's per-term atoms that read the same
+    # tensor entry with the same factors: those groups, ordered by the first
+    # term that reaches them and within a term in table order (the support
+    # as a mask, qubit 1 most significant), are the objective's atoms, and
+    # each coefficient is its group's sum in term order within
+    # (size + 2) eps of the group's l1 norm; a group missing from the
+    # objective cancels to within that bound.  The evaluators agree with the
+    # oracles over the direct build's atoms within 1e-12.
     rng = np.random.default_rng(31)
     cases = [(expression, state, mode) for expression, state, mode, _ in _catalog_cases(rng)]
     for num_qubits in (2, 3):
         expression = _shared_label_expression(rng, num_qubits)
         for mode in ("symmetric", "free"):
             cases.append((expression, _random_state(rng, num_qubits), mode))
+    non_dyadic = lambda rng: float(rng.choice([0.1, 0.7, 1.0 / 3.0, 2.0 / 3.0, 1.3]))
+    for num_qubits in (2, 3) * 5:
+        expression = _shared_label_expression(rng, num_qubits, non_dyadic)
+        for mode in ("symmetric", "free"):
+            cases.append((expression, _random_state(rng, num_qubits), mode))
+    merged = 0
     for expression, state, mode in cases:
         objective = PlaneObjective(expression, state, mode)
-        constant, atoms, flat, tensors = direct_objective(expression, state, mode)
-        pad = 2 * len(objective.open_dims)
-        padded = [
-            [(c, *indices, *(pad,) * (3 - len(indices))) for c, indices in group]
-            for group in flat
-        ]
-        assert objective.constant == constant
-        assert objective.atoms == atoms
-        assert objective._flat == padded
-        assert [list(t.items()) for t in objective._tensors] == [list(t.items()) for t in tensors]
+        constant, atoms, origins = direct_objective(expression, state, mode)
+        assert objective.constant == pytest.approx(constant, abs=1e-12)
+        groups: dict = {}  # (tensor index, factors): [first term, sum, l1 norm, size]
+        for (coefficient, factors), (term, index) in zip(atoms, origins):
+            group = groups.setdefault((index, factors), [term, 0.0, 0.0, 0])
+            group[1] += coefficient
+            group[2] += abs(coefficient)
+            group[3] += 1
+        ordered = sorted(groups, key=lambda key: (groups[key][0], tuple(i > 0 for i in key[0])))
+        found = iter(objective.atoms)
+        atom = next(found, None)
+        for key in ordered:
+            _, total, norm, size = groups[key]
+            bound = (size + 2) * np.finfo(float).eps * norm
+            if atom is not None and atom[1] == key[1] and abs(atom[0] - total) <= bound:
+                atom = next(found, None)
+            else:
+                assert abs(total) <= bound, (expression.name, mode, key)
+        assert atom is None, (expression.name, mode)
+        merged += len(atoms) - len(objective.atoms)
+
+        reference = SimpleNamespace(
+            open_dims=objective.open_dims, closed_dims=objective.closed_dims,
+            constant=constant, atoms=atoms,
+        )
+        axes = [np.linspace(0.0, TWO_PI, 3 + d, endpoint=False) for d in range(len(objective.open_dims))]
+        grid = objective.grid_values(axes)
+        assert np.max(np.abs(grid - broadcast_grid_values(reference, axes))) <= 1e-12
+        for point in rng.uniform(0.0, TWO_PI, size=(5, len(objective.open_dims))):
+            parts = summed_parts(reference, point)
+            assert np.max(np.abs(np.subtract(objective._parts(point), parts))) <= 1e-12
+    assert merged > 0
+    for name, count in CATALOG_ATOMS.items():
+        for mode in ("symmetric", "free"):
+            assert len(PlanePlan.of(catalog(name), mode).atoms) == count, (name, mode)
 
 
 def test_four_qubit_expression_builds_no_plan():
